@@ -4,11 +4,8 @@
 #
 # Usage: scripts/run_benchmarks.sh [output-dir]
 #   Writes to output-dir (default: bench-results/):
-#     BENCH_division.json        division algorithms, batched execution
-#     BENCH_division_tuple.json  same binary forced to tuple-at-a-time
+#     BENCH_division.json        division algorithms
 #     BENCH_key_codec.json       key-codec microbenchmarks
-#     BENCH_batched.json         per-benchmark batched vs tuple comparison
-#                                (division + law benches), with speedups
 #     BENCH_parallel.json        QUOTIENT_THREADS=1 vs N A/B of the
 #                                morsel-driven parallel executor
 #                                (docs/parallel_execution.md)
@@ -61,10 +58,10 @@ cmake --build "${build_dir}" -j "$(nproc)" \
 
 mkdir -p "${out_dir}"
 
-run_bench() {  # binary mode out_file [extra args...]
-  local binary="$1" mode="$2" out_file="$3"
-  shift 3
-  QUOTIENT_EXEC_MODE="${mode}" "${build_dir}/${binary}" \
+run_bench() {  # binary out_file [extra args...]
+  local binary="$1" out_file="$2"
+  shift 2
+  "${build_dir}/${binary}" \
     --benchmark_out="${out_file}" \
     --benchmark_out_format=json \
     --benchmark_min_time=0.2 "$@"
@@ -73,26 +70,19 @@ run_bench() {  # binary mode out_file [extra args...]
 run_bench_threads() {  # binary threads out_file [extra args...]
   local binary="$1" threads="$2" out_file="$3"
   shift 3
-  QUOTIENT_EXEC_MODE=parallel QUOTIENT_THREADS="${threads}" "${build_dir}/${binary}" \
+  QUOTIENT_THREADS="${threads}" "${build_dir}/${binary}" \
     --benchmark_out="${out_file}" \
     --benchmark_out_format=json \
     --benchmark_min_time=0.2 "$@"
 }
 
-# Canonical trajectory files (batched is the engine default).
-run_bench bench_division_algorithms batch "${out_dir}/BENCH_division.json"
-run_bench bench_key_codec batch "${out_dir}/BENCH_key_codec.json"
+# Canonical trajectory files, in the default configuration.
+run_bench bench_division_algorithms "${out_dir}/BENCH_division.json"
+run_bench bench_key_codec "${out_dir}/BENCH_key_codec.json"
 
-# A/B: the same binaries under tuple-at-a-time execution.
-run_bench bench_division_algorithms tuple "${out_dir}/BENCH_division_tuple.json"
-run_bench bench_law10_semijoin batch "${out_dir}/.law10_batch.json"
-run_bench bench_law10_semijoin tuple "${out_dir}/.law10_tuple.json"
-run_bench bench_law13_partitioned_great_divide batch "${out_dir}/.law13_batch.json"
-run_bench bench_law13_partitioned_great_divide tuple "${out_dir}/.law13_tuple.json"
-
-# A/B the morsel-driven parallel executor: the same binaries in parallel
-# mode at 1 worker vs N workers (the Law 13 partitioned bench also scales
-# its pool-scheduled partitions).
+# A/B the morsel-driven parallel executor: the same binaries at 1 worker
+# vs N workers (the Law 13 partitioned bench also scales its
+# pool-scheduled partitions).
 par_threads="${QUOTIENT_BENCH_THREADS:-$(nproc)}"
 if [ "${par_threads}" -lt 2 ]; then par_threads=2; fi
 
@@ -129,7 +119,7 @@ run_bench_threads bench_txn "${par_threads}" "${out_dir}/BENCH_txn.json"
 # Cost-guided rewrite search: Optimize() greedy vs search on a law-rich
 # plan (compile-time overhead), and execution of each mode's chosen plan on
 # a union-divisor workload only the search rule set can rewrite (Law 1).
-run_bench bench_optimizer batch "${out_dir}/BENCH_optimizer.json"
+run_bench bench_optimizer "${out_dir}/BENCH_optimizer.json"
 
 run_bench_threads bench_division_algorithms 1 "${out_dir}/.div_par1.json"
 run_bench_threads bench_division_algorithms "${par_threads}" "${out_dir}/.div_parN.json"
@@ -138,16 +128,12 @@ run_bench_threads bench_law10_semijoin "${par_threads}" "${out_dir}/.law10_parN.
 run_bench_threads bench_law13_partitioned_great_divide 1 "${out_dir}/.law13_par1.json"
 run_bench_threads bench_law13_partitioned_great_divide "${par_threads}" "${out_dir}/.law13_parN.json"
 
-# Merge into one comparison file: real_time per mode plus the speedup.
+# Merge the A/B runs into comparison files: real_time per thread count plus
+# the speedup.
 PAR_THREADS="${par_threads}" python3 - "${out_dir}" <<'PY'
 import json, sys, os
 
 out_dir = sys.argv[1]
-pairs = [
-    ("division", "BENCH_division.json", "BENCH_division_tuple.json"),
-    ("law10_semijoin", ".law10_batch.json", ".law10_tuple.json"),
-    ("law13_partitioned_great_divide", ".law13_batch.json", ".law13_tuple.json"),
-]
 
 def times(path):
     with open(os.path.join(out_dir, path)) as f:
@@ -156,32 +142,7 @@ def times(path):
             for b in doc.get("benchmarks", [])
             if b.get("run_type", "iteration") == "iteration"}
 
-comparison = []
-for suite, batch_file, tuple_file in pairs:
-    batched, tuple_at_a_time = times(batch_file), times(tuple_file)
-    for name in batched:
-        if name not in tuple_at_a_time:
-            continue
-        b, t = batched[name], tuple_at_a_time[name]
-        comparison.append({
-            "suite": suite,
-            "name": name,
-            "batched_us": round(b, 3),
-            "tuple_us": round(t, 3),
-            "speedup": round(t / b, 3) if b > 0 else None,
-        })
-
-with open(os.path.join(out_dir, "BENCH_batched.json"), "w") as f:
-    json.dump({"comparison": comparison}, f, indent=1)
-
-hash_speedups = [c["speedup"] for c in comparison
-                 if c["suite"] == "division" and "Hash" in c["name"]]
-if hash_speedups:
-    print(f"hash-division speedup (batched vs tuple): "
-          f"min {min(hash_speedups):.2f}x / "
-          f"median {sorted(hash_speedups)[len(hash_speedups)//2]:.2f}x")
-
-# Parallel A/B: 1 worker vs N workers, same parallel-mode binaries.
+# Parallel A/B: 1 worker vs N workers, same binaries.
 par_pairs = [
     ("division", ".div_par1.json", ".div_parN.json"),
     ("law10_semijoin", ".law10_par1.json", ".law10_parN.json"),
@@ -341,7 +302,7 @@ rm -f "${out_dir}"/.law1[03]_*.json "${out_dir}"/.div_par*.json "${out_dir}"/.co
       "${out_dir}"/.robustness_raw.json "${out_dir}"/.spill_raw.json \
       "${out_dir}"/.recycler_raw.json
 
-echo "Wrote ${out_dir}/BENCH_division.json, BENCH_division_tuple.json," \
-     "BENCH_key_codec.json, BENCH_batched.json, BENCH_parallel.json," \
-     "BENCH_sql.json, BENCH_concurrency.json, BENCH_robustness.json," \
-     "BENCH_recycler.json and BENCH_txn.json"
+echo "Wrote ${out_dir}/BENCH_division.json, BENCH_key_codec.json," \
+     "BENCH_parallel.json, BENCH_sql.json, BENCH_concurrency.json," \
+     "BENCH_robustness.json, BENCH_recycler.json, BENCH_txn.json and" \
+     "BENCH_optimizer.json"

@@ -13,13 +13,10 @@
 // IncrementalKeyEncoder id space, replacing a Value hash per row with an
 // array load per row.
 //
-// Three execution disciplines coexist behind the Iterator interface:
-//   ExecMode::kParallel — NextBatch() pipelines with morsel-parallel
-//                         blocking drains (the default; exec/pipeline.hpp);
-//   ExecMode::kBatch    — the same NextBatch() pipelines, strictly serial;
-//   ExecMode::kTuple    — the PR 1 tuple-at-a-time paths, kept alive as the
-//                         semantics reference the property tests cross-check
-//                         against and as the benchmark baseline.
+// Batches are the executor's one drain discipline: every blocking drain is
+// a NextBatch() pipeline (exec/pipeline.hpp), serial execution being its
+// one-worker case. Row-at-a-time semantics live only in the oracles
+// (algebra/, plan/evaluate, sql/interp) the property tests cross-check.
 
 #include <algorithm>
 #include <cstdint>
@@ -31,32 +28,12 @@
 
 namespace quotient {
 
-/// Which pull discipline drains plans (ExecuteToRelation) and internal
-/// operator builds. Process-wide; set before executing, not mid-plan.
-///   kParallel — the default: batched pipelines whose blocking drains run
-///               morsel-parallel over the worker pool (exec/pipeline.hpp,
-///               exec/scheduler.hpp); bit-identical to kBatch at any
-///               thread count by the chunk-ordered merge discipline.
-///   kBatch    — strictly serial batched execution (the PR 2 discipline),
-///               kept as the single-threaded reference and A/B baseline.
-///   kTuple    — tuple-at-a-time execution (the PR 1 discipline), the
-///               semantics reference the property tests cross-check.
-enum class ExecMode { kBatch, kTuple, kParallel };
-
-ExecMode GetExecMode();
-void SetExecMode(ExecMode mode);
-
 /// Target rows per batch (default 1024). Property tests shrink this to probe
 /// batch-boundary edge cases; values are clamped to >= 1.
 size_t GetBatchRows();
 void SetBatchRows(size_t rows);
 
-/// RAII helpers so tests can sweep modes/sizes without leaking state.
-struct ScopedExecMode {
-  explicit ScopedExecMode(ExecMode mode) : saved(GetExecMode()) { SetExecMode(mode); }
-  ~ScopedExecMode() { SetExecMode(saved); }
-  ExecMode saved;
-};
+/// RAII helper so tests can sweep batch sizes without leaking state.
 struct ScopedBatchRows {
   explicit ScopedBatchRows(size_t rows) : saved(GetBatchRows()) { SetBatchRows(rows); }
   ~ScopedBatchRows() { SetBatchRows(saved); }

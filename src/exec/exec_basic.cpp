@@ -97,28 +97,16 @@ void BuildKeySet(Iterator& right, const std::vector<size_t>& right_reorder,
   size_t expected = right.EstimatedRows();
   if (encoder.fits64()) set64.reserve(expected);
   const std::vector<size_t>* reorder = right_reorder.empty() ? nullptr : &right_reorder;
-  if (GetExecMode() != ExecMode::kTuple) {
-    BatchIncrementalKeyer keyer(&encoder, encoder.num_cols());
-    Batch batch;
-    std::vector<uint64_t> keys64;
-    std::vector<SmallByteKey> keys_spill;
-    while (right.NextBatch(&batch)) {
-      keyer.Keys(batch, reorder, &keys64, &keys_spill);
-      if (encoder.fits64()) {
-        set64.insert(keys64.begin(), keys64.end());
-      } else {
-        set_spill.insert(keys_spill.begin(), keys_spill.end());
-      }
-    }
-    return;
-  }
-  SmallByteKey spill;
-  while (const Tuple* t = right.NextRef()) {
+  BatchIncrementalKeyer keyer(&encoder, encoder.num_cols());
+  Batch batch;
+  std::vector<uint64_t> keys64;
+  std::vector<SmallByteKey> keys_spill;
+  while (right.NextBatch(&batch)) {
+    keyer.Keys(batch, reorder, &keys64, &keys_spill);
     if (encoder.fits64()) {
-      set64.insert(encoder.Encode64(*t, reorder));
+      set64.insert(keys64.begin(), keys64.end());
     } else {
-      encoder.EncodeSpill(*t, reorder, &spill);
-      set_spill.insert(spill);
+      set_spill.insert(keys_spill.begin(), keys_spill.end());
     }
   }
 }

@@ -277,8 +277,8 @@ class CrossProductIterator : public Iterator {
   size_t right_pos_ = 0;
 };
 
-/// Shared build-side helper for ∩ / −: drains `right` into an encoded key
-/// set (mode-aware: tuples in ExecMode::kTuple, batches otherwise).
+/// Shared build-side helper for ∩ / −: drains `right`'s batches into an
+/// encoded key set.
 void BuildKeySet(Iterator& right, const std::vector<size_t>& right_reorder,
                  IncrementalKeyEncoder& encoder,
                  std::unordered_set<uint64_t, FlatKeyHash>& set64,

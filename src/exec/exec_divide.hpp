@@ -52,13 +52,13 @@ const char* DivisionAlgorithmName(DivisionAlgorithm algorithm);
 /// two flat arrays — per-row A keys and per-row divisor numbers — instead of
 /// hash tables keyed by materialized Tuples.
 ///
-/// In batched modes both drains consume encoded batches: dictionary ids
-/// from the scans translate into the division's codecs through per-column
-/// translation arrays (see docs/batched_execution.md), so the per-row probe
-/// cost drops from a Value hash to an array load. In ExecMode::kParallel
-/// each drain is a pipeline (exec/pipeline.hpp): the input's id spans run
-/// morsel-parallel into per-chunk codec/probe states that merge in chunk
-/// order, so results are bit-identical to the serial disciplines.
+/// Both drains consume encoded batches: dictionary ids from the scans
+/// translate into the division's codecs through per-column translation
+/// arrays (see docs/batched_execution.md), so the per-row probe cost drops
+/// from a Value hash to an array load. Each drain is a pipeline
+/// (exec/pipeline.hpp): the input's id spans run morsel-parallel into
+/// per-chunk codec/probe states that merge in chunk order, so results are
+/// bit-identical at every thread count.
 class DivisionIterator : public Iterator {
  public:
   DivisionIterator(IterPtr dividend, IterPtr divisor, DivisionAlgorithm algorithm);

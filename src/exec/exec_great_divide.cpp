@@ -55,8 +55,8 @@ GreatDivideIterator::GreatDivideIterator(IterPtr dividend, IterPtr divisor,
 
 std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtifact() {
   // Build pipeline: dictionary-encode the divisor's B and C columns (one
-  // pass feeding both codecs) and number both key spaces densely. Drain
-  // discipline per pipeline: see exec/pipeline.hpp.
+  // pass feeding both codecs) and number both key spaces densely. Worker
+  // count per pipeline: see exec/pipeline.hpp.
   auto art = std::make_shared<GreatDivideBuildArtifact>();
   divisor_->Open();
   art->b_codec = KeyCodec(divisor_b_idx_.size());
@@ -64,16 +64,9 @@ std::shared_ptr<GreatDivideBuildArtifact> GreatDivideIterator::BuildDivisorArtif
   size_t divisor_expected = divisor_->EstimatedRows();
   art->b_codec.Reserve(divisor_expected);
   art->c_codec.Reserve(divisor_expected);
-  if (UseTupleDrain(*divisor_)) {
-    while (const Tuple* t = divisor_->NextRef()) {
-      art->b_codec.Add(*t, divisor_b_idx_);
-      art->c_codec.Add(*t, divisor_c_idx_);
-    }
-  } else {
-    CodecAppendSink sink(&art->b_codec, &divisor_b_idx_);
-    sink.AddTarget(&art->c_codec, &divisor_c_idx_);
-    RecordPipelineDop(RunPipeline(*divisor_, sink).dop);
-  }
+  CodecAppendSink sink(&art->b_codec, &divisor_b_idx_);
+  sink.AddTarget(&art->c_codec, &divisor_c_idx_);
+  RecordPipelineDop(RunPipeline(*divisor_, sink).dop);
   art->b_codec.Seal();
   art->c_codec.Seal();
 
@@ -112,16 +105,9 @@ std::shared_ptr<GreatDivideProbeArtifact> GreatDivideIterator::BuildProbeArtifac
   size_t expected = dividend_->EstimatedRows();
   art->a_codec.Reserve(expected);
   art->row_b.Reserve(expected);
-  if (UseTupleDrain(*dividend_)) {
-    while (const Tuple* row = dividend_->NextRef()) {
-      art->a_codec.Add(*row, a_idx_);
-      art->row_b.PushBack(art->build->b.Probe(*row, b_idx_));
-    }
-  } else {
-    ProbeAppendSink sink(&art->a_codec, &a_idx_, &art->build->b, &art->build->b_codec, &b_idx_,
-                         &art->row_b);
-    RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
-  }
+  ProbeAppendSink sink(&art->a_codec, &a_idx_, &art->build->b, &art->build->b_codec, &b_idx_,
+                       &art->row_b);
+  RecordPipelineDop(RunPipeline(*dividend_, sink).dop);
   art->a_codec.Seal();
   art->a.Build(art->a_codec);
   return art;
@@ -269,9 +255,7 @@ Relation GreatDividePartitioned(const Relation& dividend, const Relation& diviso
 
   // One shared dividend encoding: workers translate from it instead of each
   // re-encoding the full dividend (read-only after Build, so no locking).
-  if (dividend_enc == nullptr && GetExecMode() != ExecMode::kTuple) {
-    dividend_enc = TableEncoding::Build(dividend);
-  }
+  if (dividend_enc == nullptr) dividend_enc = TableEncoding::Build(dividend);
 
   // Partitions run as tasks on the shared worker pool (exec/scheduler.hpp);
   // the per-partition divisions detect they are on a pool worker and drain

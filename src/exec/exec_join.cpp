@@ -100,20 +100,13 @@ std::shared_ptr<JoinBuildArtifact> HashJoinIterator::BuildArtifact() {
   std::vector<Tuple> rest_rows;
   rest_rows.reserve(right_->EstimatedRows());
   // Build pipeline: key columns into the codec plus the projected rest of
-  // each build row, drained per exec/pipeline.hpp's discipline choice.
-  if (UseTupleDrain(*right_)) {
-    while (const Tuple* t = right_->NextRef()) {
-      art->codec.Add(*t, right_key_);
-      rest_rows.push_back(ProjectTuple(*t, right_rest_));
-    }
-  } else {
-    JoinBuildSink sink(&art->codec, &right_key_, &right_rest_, &rest_rows);
-    PipelineStats stats = RunPipeline(*right_, sink);
-    RecordPipelineDop(stats.dop);
-    // Mirror the sink's materialized-tuple charge so publication can hand
-    // it from the building query to the recycler's budget.
-    art->extra_charge = stats.rows * (right_rest_.size() + 2) * 8;
-  }
+  // each build row.
+  JoinBuildSink sink(&art->codec, &right_key_, &right_rest_, &rest_rows);
+  PipelineStats stats = RunPipeline(*right_, sink);
+  RecordPipelineDop(stats.dop);
+  // Mirror the sink's materialized-tuple charge so publication can hand
+  // it from the building query to the recycler's budget.
+  art->extra_charge = stats.rows * (right_rest_.size() + 2) * 8;
   art->codec.Seal();
   art->numbering.Build(art->codec);
   art->buckets.assign(art->numbering.count(), {});
@@ -234,17 +227,10 @@ std::shared_ptr<JoinBuildArtifact> EquiJoinIterator::BuildArtifact() {
   std::vector<Tuple> right_rows;
   right_rows.reserve(right_->EstimatedRows());
   // Build pipeline: key columns into the codec plus whole build rows.
-  if (UseTupleDrain(*right_)) {
-    while (const Tuple* t = right_->NextRef()) {
-      art->codec.Add(*t, right_key_);
-      right_rows.push_back(*t);
-    }
-  } else {
-    JoinBuildSink sink(&art->codec, &right_key_, /*proj=*/nullptr, &right_rows);
-    PipelineStats stats = RunPipeline(*right_, sink);
-    RecordPipelineDop(stats.dop);
-    art->extra_charge = stats.rows * (right_->schema().size() + 2) * 8;
-  }
+  JoinBuildSink sink(&art->codec, &right_key_, /*proj=*/nullptr, &right_rows);
+  PipelineStats stats = RunPipeline(*right_, sink);
+  RecordPipelineDop(stats.dop);
+  art->extra_charge = stats.rows * (right_->schema().size() + 2) * 8;
   art->codec.Seal();
   art->numbering.Build(art->codec);
   art->buckets.assign(art->numbering.count(), {});
@@ -314,19 +300,11 @@ std::shared_ptr<JoinBuildArtifact> HashSemiJoinIterator::BuildArtifact() {
   right_->Open();
   art->codec = KeyCodec(right_key_.size());
   art->codec.Reserve(right_->EstimatedRows());
-  art->right_empty = true;
   // Build pipeline: the key codec doubles as the membership set.
-  if (UseTupleDrain(*right_)) {
-    while (const Tuple* t = right_->NextRef()) {
-      art->right_empty = false;
-      art->codec.Add(*t, right_key_);
-    }
-  } else {
-    CodecAppendSink sink(&art->codec, &right_key_);
-    PipelineStats stats = RunPipeline(*right_, sink);
-    RecordPipelineDop(stats.dop);
-    art->right_empty = stats.rows == 0;
-  }
+  CodecAppendSink sink(&art->codec, &right_key_);
+  PipelineStats stats = RunPipeline(*right_, sink);
+  RecordPipelineDop(stats.dop);
+  art->right_empty = stats.rows == 0;
   art->codec.Seal();
   art->numbering.Build(art->codec);
   return art;

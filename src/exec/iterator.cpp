@@ -19,22 +19,13 @@ bool Iterator::NextBatch(Batch* out) {
 Relation ExecuteToRelation(Iterator& it) {
   it.Open();
   std::vector<Tuple> tuples;
-  if (GetExecMode() != ExecMode::kTuple) {
-    Batch batch;
-    Tuple t;
-    while (it.NextBatch(&batch)) {
-      GovernorPoll();
-      for (size_t i = 0; i < batch.ActiveRows(); ++i) {
-        batch.ToTuple(batch.RowAt(i), &t);
-        tuples.push_back(std::move(t));
-      }
-    }
-  } else {
-    Tuple t;
-    GovernorTicker ticker;
-    while (it.Next(&t)) {
-      ticker.Tick();
-      tuples.push_back(t);
+  Batch batch;
+  Tuple t;
+  while (it.NextBatch(&batch)) {
+    GovernorPoll();
+    for (size_t i = 0; i < batch.ActiveRows(); ++i) {
+      batch.ToTuple(batch.RowAt(i), &t);
+      tuples.push_back(std::move(t));
     }
   }
   it.Close();

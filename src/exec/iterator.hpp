@@ -30,9 +30,9 @@ class Iterator {
 
   /// Zero-copy variant of Next(): returns a pointer to the next tuple, or
   /// nullptr at end of stream. The pointee is only valid until the next
-  /// Next()/NextRef() call. Operators that materialize their input (hash
-  /// builds, blocking divisions) drain children through this to avoid a
-  /// Tuple copy per row; scans and pass-through operators override it.
+  /// Next()/NextRef() call. Row-wise operators (filters, projections,
+  /// nested-loop and cross-product builds) pull children through this to
+  /// avoid a Tuple copy per row; scans and pass-through operators override it.
   virtual const Tuple* NextRef() {
     return Next(&ref_scratch_) ? &ref_scratch_ : nullptr;
   }
@@ -87,13 +87,13 @@ class Iterator {
   /// Pipeline-executor accounting hook: credits rows produced when a
   /// parallel pipeline reads morsel spans straight from storage instead of
   /// pulling this operator's NextBatch. Keeps EXPLAIN row totals identical
-  /// across execution modes and thread counts.
+  /// across thread counts.
   void AddProducedRows(size_t n) { CountRows(n); }
 
  protected:
   void CountRow() { rows_produced_.fetch_add(1, std::memory_order_relaxed); }
   /// Batch producers count active rows, not batches, so ExplainTree and
-  /// TotalRowsProduced stay comparable across execution modes. The Next()
+  /// TotalRowsProduced stay comparable across thread counts. The Next()
   /// adapter must NOT call this — the wrapped Next() already counts.
   void CountRows(size_t n) { rows_produced_.fetch_add(n, std::memory_order_relaxed); }
   /// Clears the row counter AND the recorded pipeline parallelism; every
@@ -118,8 +118,7 @@ class Iterator {
 
 using IterPtr = std::unique_ptr<Iterator>;
 
-/// Drains `it` (Open/.../Close) into a canonical Relation, pulling tuples
-/// in ExecMode::kTuple and batches otherwise (kBatch and kParallel).
+/// Drains `it` (Open/.../Close) into a canonical Relation, pulling batches.
 Relation ExecuteToRelation(Iterator& it);
 
 /// Sum of rows_produced over the whole plan (call after draining).
@@ -129,7 +128,7 @@ size_t TotalRowsProduced(Iterator& root);
 size_t MaxRowsProduced(Iterator& root);
 
 /// Largest pipeline degree of parallelism recorded anywhere in the plan
-/// (0 when every drain ran tuple-at-a-time).
+/// (0 when the plan has no blocking drain, or every drain was recycled).
 size_t MaxPipelineDop(Iterator& root);
 
 /// Indented operator tree with per-operator row counts, for EXPLAIN ANALYZE

@@ -13,16 +13,15 @@ namespace quotient {
 namespace {
 
 constexpr size_t kDefaultMorselRows = 4096;
-constexpr size_t kDefaultSerialRowThreshold = 64;
 
 std::atomic<size_t>& MorselRowsFlag() {
   static std::atomic<size_t> rows{kDefaultMorselRows};
   return rows;
 }
 
-std::atomic<size_t>& SerialThresholdFlag() {
-  static std::atomic<size_t> rows{kDefaultSerialRowThreshold};
-  return rows;
+std::atomic<bool>& UncappedFlag() {
+  static std::atomic<bool> uncapped{false};
+  return uncapped;
 }
 
 /// Approximate payload of a batch for memory-budget charging: 8 bytes per
@@ -86,58 +85,40 @@ void SetMorselRows(size_t rows) {
   MorselRowsFlag().store(rows == 0 ? 1 : rows, std::memory_order_relaxed);
 }
 
-size_t GetSerialRowThreshold() {
-  return SerialThresholdFlag().load(std::memory_order_relaxed);
+bool PipelinesUncapped() { return UncappedFlag().load(std::memory_order_relaxed); }
+
+ScopedUncappedPipelines::ScopedUncappedPipelines() : saved(PipelinesUncapped()) {
+  UncappedFlag().store(true, std::memory_order_relaxed);
 }
-void SetSerialRowThreshold(size_t rows) {
-  SerialThresholdFlag().store(rows, std::memory_order_relaxed);
+ScopedUncappedPipelines::~ScopedUncappedPipelines() {
+  UncappedFlag().store(saved, std::memory_order_relaxed);
 }
 
 PipelineChoice ChoosePipeline(const Iterator& child) {
   PipelineChoice choice;
-  ExecMode mode = GetExecMode();
-  if (mode == ExecMode::kTuple) {
-    choice.tuple = true;
-    return choice;
-  }
-  if (mode != ExecMode::kParallel) return choice;
-  size_t threshold = GetSerialRowThreshold();
-  // Threshold 0 disables every estimate-driven choice, not just the tuple
-  // cutoff: tests set it to force the full parallel machinery on fixtures
-  // far smaller than any sane worker cap would allow.
-  if (threshold == 0) return choice;
+  if (PipelinesUncapped()) return choice;
   size_t estimated = child.EstimatedRows();
   double hint = child.cost_rows_hint();
   // The cost-model estimate accounts for selectivity and division/join
   // shrinkage; EstimatedRows() is only a structural upper bound. Prefer
   // the model when the planner supplied it.
   double rows = hint > 0 ? hint : static_cast<double>(estimated);
-  if (rows <= 0) return choice;  // unknown: batched, uncapped
-  if (rows <= static_cast<double>(threshold)) {
-    choice.tuple = true;
-    return choice;
-  }
+  if (rows <= 0) return choice;  // unknown: uncapped
   // Cap workers so each gets at least ~two morsels of estimated work —
   // fan-out past that points pays scheduling and merge cost for nothing.
-  size_t threads = GetExecThreads();
+  // Under two morsels that is one worker: the drain runs serially.
   size_t morsel = std::max<size_t>(1, std::max(GetMorselRows(), GetBatchRows()));
   size_t useful = std::max<size_t>(1, static_cast<size_t>(rows) / (2 * morsel));
-  choice.workers = std::min(threads == 0 ? size_t{1} : threads, useful);
+  choice.workers = std::min(GetExecThreads(), useful);
   // Spread the estimated rows over at most ~4 chunks per capped worker;
   // when the estimate overshoots the actual row count this only makes
   // chunks larger (fewer, bigger morsels), never changes results.
-  if (choice.workers > 0) {
-    choice.morsel_rows =
-        std::max(morsel, static_cast<size_t>(rows) / (choice.workers * 4));
-  }
+  choice.morsel_rows = std::max(morsel, static_cast<size_t>(rows) / (choice.workers * 4));
   return choice;
 }
 
-bool UseTupleDrain(const Iterator& child) { return ChoosePipeline(child).tuple; }
-
 PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
-  bool parallel = GetExecMode() == ExecMode::kParallel && GetExecThreads() > 1 &&
-                  !OnWorkerThread() && sink.AllowParallel();
+  bool parallel = GetExecThreads() > 1 && !OnWorkerThread() && sink.AllowParallel();
   if (!parallel) return DrainSerial(child, sink);
   PipelineChoice choice = ChoosePipeline(child);
   size_t threads = GetExecThreads();
@@ -177,7 +158,7 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
     }
     // The span reads bypassed the chain's NextBatch methods; credit every
     // bypassed operator with the rows it forwarded so EXPLAIN totals match
-    // the serial disciplines exactly.
+    // the one-chunk drain exactly.
     for (Iterator* op : source.chain) op->AddProducedRows(rows);
 
     PipelineStats stats;

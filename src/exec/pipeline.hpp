@@ -5,24 +5,21 @@
 // A physical plan decomposes into pipelines at its breaker edges — child
 // streams a blocking operator fully drains during Open(): hash-table
 // builds, division codec drains, grouping, set-operation build sides. Each
-// such drain is "source → streaming ops → sink", and RunPipeline executes
-// it under the current ExecMode:
+// such drain is "source → streaming ops → sink", and RunPipeline is the
+// only way the executor runs one. It is morsel-driven: the source's rows
+// are split into contiguous chunks of id spans, a worker pool
+// (exec/scheduler.hpp) runs the batch kernels per chunk into per-chunk
+// partial sink states, and the partials are merged in chunk-index order.
+// Serial execution is the one-chunk case: the batches fold straight into
+// the sink's final state.
 //
-//   kTuple    — the operators' own tuple-at-a-time reference drains (the
-//               callers skip RunPipeline entirely, see UseTupleDrain);
-//   kBatch    — serial batched pull, exactly the PR 2 discipline;
-//   kParallel — morsel-driven: the source's rows are split into contiguous
-//               chunks of id spans, a worker pool (exec/scheduler.hpp) runs
-//               the batch kernels per chunk into per-chunk partial sink
-//               states, and the partials are merged in chunk-index order.
-//
-// The chunk-ordered merge is what makes parallel execution bit-identical to
-// serial batch execution at every thread count: iterating chunks in index
-// order and rows within a chunk in row order visits the input in exactly
-// the serial row order, so dictionary ids, candidate numberings, group
-// numbers, and result emission order all come out the same. Law 13's
-// partitioned great divide proved this merge shape correct for division;
-// the sinks here generalize it to every hash-based operator.
+// The chunk-ordered merge is what makes dop N bit-identical to dop 1 — and
+// both to the oracles (algebra/, plan/evaluate, sql/interp): iterating
+// chunks in index order and rows within a chunk in row order visits the
+// input in exactly the serial row order, so dictionary ids, candidate
+// numberings, group numbers, and result emission order all come out the
+// same. Law 13's partitioned great divide proved this merge shape correct
+// for division; the sinks here generalize it to every hash-based operator.
 
 #include <memory>
 #include <string>
@@ -42,15 +39,12 @@ namespace quotient {
 size_t GetMorselRows();
 void SetMorselRows(size_t rows);
 
-/// Inputs at or under this estimated row count drain tuple-at-a-time even
-/// in ExecMode::kParallel: batch/morsel setup costs more than it saves on
-/// tiny inputs (the minimal cost-based ExecMode choice from the ROADMAP).
-/// Default 64; 0 disables the heuristic (tests use this to force the
-/// parallel path on small fixtures).
-size_t GetSerialRowThreshold();
-void SetSerialRowThreshold(size_t rows);
+/// True while ScopedUncappedPipelines is alive: ChoosePipeline then skips
+/// every estimate-driven choice, so tests can force the full multi-chunk
+/// machinery on fixtures far smaller than any sane worker cap would allow.
+bool PipelinesUncapped();
 
-/// RAII guards for the two knobs above. Like ScopedExecThreads they restore
+/// RAII guards for the knobs above. Like ScopedExecThreads they restore
 /// on any unwind (a faulted or cancelled test must not poison the process
 /// globals for the rest of the suite) and are non-copyable so an accidental
 /// copy cannot restore twice.
@@ -61,27 +55,22 @@ struct ScopedMorselRows {
   ScopedMorselRows& operator=(const ScopedMorselRows&) = delete;
   size_t saved;
 };
-struct ScopedSerialRowThreshold {
-  explicit ScopedSerialRowThreshold(size_t rows) : saved(GetSerialRowThreshold()) {
-    SetSerialRowThreshold(rows);
-  }
-  ~ScopedSerialRowThreshold() { SetSerialRowThreshold(saved); }
-  ScopedSerialRowThreshold(const ScopedSerialRowThreshold&) = delete;
-  ScopedSerialRowThreshold& operator=(const ScopedSerialRowThreshold&) = delete;
-  size_t saved;
+struct ScopedUncappedPipelines {
+  ScopedUncappedPipelines();
+  ~ScopedUncappedPipelines();
+  ScopedUncappedPipelines(const ScopedUncappedPipelines&) = delete;
+  ScopedUncappedPipelines& operator=(const ScopedUncappedPipelines&) = delete;
+  bool saved;
 };
 
 /// Costed per-pipeline execution choice (the cost-driven physical choices
-/// from the ROADMAP): drain discipline, worker cap, and morsel-size floor,
-/// derived from the pipeline source's cost-model cardinality
-/// (Iterator::cost_rows_hint, set by the planner from opt/cost.hpp) with
-/// EstimatedRows() as the structural fallback. Defaults reproduce the
-/// legacy behavior exactly — and are always returned when the serial row
-/// threshold is 0, the setting tests use to force the parallel path on
-/// small fixtures regardless of estimates.
+/// from the ROADMAP): worker cap and morsel-size floor, derived from the
+/// pipeline source's cost-model cardinality (Iterator::cost_rows_hint, set
+/// by the planner from opt/cost.hpp) with EstimatedRows() as the structural
+/// fallback. Inputs under two morsels get one worker, so tiny drains run as
+/// the one-chunk serial case. Defaults (no cap) are always returned under
+/// ScopedUncappedPipelines.
 struct PipelineChoice {
-  /// Drain tuple-at-a-time (estimate at or under the serial threshold).
-  bool tuple = false;
   /// Cap on workers for this pipeline; 0 = no cap (use GetExecThreads()).
   /// Realized by growing chunks, so results stay bit-identical.
   size_t workers = 0;
@@ -90,13 +79,8 @@ struct PipelineChoice {
 };
 
 /// Decided once per pipeline drain, so one operator may drain a tiny
-/// divisor tuple-wise while morsel-parallelizing a large dividend.
+/// divisor serially while morsel-parallelizing a large dividend.
 PipelineChoice ChoosePipeline(const Iterator& child);
-
-/// True when a blocking operator should drain `child` with its
-/// tuple-at-a-time reference path: always in ExecMode::kTuple, and in
-/// ExecMode::kParallel when ChoosePipeline picks the tuple discipline.
-bool UseTupleDrain(const Iterator& child);
 
 /// Partial state of one chunk of a parallel pipeline. Chunks are created
 /// up front, written by exactly one worker task, and merged in chunk-index
@@ -107,8 +91,8 @@ class SinkChunk {
 };
 
 /// Where a pipeline's rows land: a blocking operator's build state. A sink
-/// must implement both disciplines —
-///   ConsumeSerial : fold batches straight into the final state (serial
+/// implements the one-chunk case and the multi-chunk case —
+///   ConsumeSerial : fold batches straight into the final state (one-chunk
 ///                   runs pay zero partial/merge overhead);
 ///   MakeChunk / Consume / Merge : per-chunk partial states for parallel
 ///                   runs; Consume is called concurrently on distinct
@@ -133,11 +117,10 @@ struct PipelineStats {
   size_t dop = 1;     // worker parallelism usable for those chunks
 };
 
-/// Drains `child` (already Open()ed) into `sink` under the current
-/// ExecMode; see the file comment for the disciplines. Parallel runs
-/// require the pipeline's source rows to be chunkable: a RelationScan
-/// source (under any chain of pass-through ρ) is split into id-span
-/// morsels read directly from storage; any other source is drained
+/// Drains `child` (already Open()ed) into `sink`; see the file comment.
+/// Multi-chunk runs require the pipeline's source rows to be chunkable: a
+/// RelationScan source (under any chain of pass-through ρ) is split into
+/// id-span morsels read directly from storage; any other source is drained
 /// serially into buffered batches first and the batch kernels + sink work
 /// are parallelized over those.
 PipelineStats RunPipeline(Iterator& child, PipelineSink& sink);

@@ -1,10 +1,10 @@
 // Batched columnar execution (docs/batched_execution.md) must be
-// indistinguishable from tuple-at-a-time execution: these property tests
-// run the same physical plans under ExecMode::kBatch and ExecMode::kTuple
-// and require identical relations AND identical per-operator row counts,
-// across batch sizes that straddle every boundary (1, 1023, 1024, 1025),
-// empty inputs, string keys, and keys wide enough to take the SmallByteKey
-// spill path.
+// indistinguishable from the relational-algebra oracle (plan/evaluate):
+// these property tests run the same physical plans at one worker across
+// batch sizes that straddle every boundary (1, 1023, 1024, 1025), empty
+// inputs, string keys, and keys wide enough to take the SmallByteKey spill
+// path, and require relations identical to the oracle AND per-operator row
+// counts identical to the default 1024-row batch size.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "exec/exec_basic.hpp"
 #include "exec/exec_divide.hpp"
 #include "exec/exec_great_divide.hpp"
+#include "exec/scheduler.hpp"
 #include "opt/planner.hpp"
 #include "paper_fixtures.hpp"
 #include "plan/evaluate.hpp"
@@ -25,28 +26,25 @@ namespace {
 
 const size_t kBoundarySizes[] = {1, 3, 1023, 1024, 1025};
 
-/// Runs `plan` in tuple mode (the PR 1 reference) and in batch mode at each
-/// boundary batch size; the relation and the plan-wide row accounting must
-/// match exactly.
-void ExpectModeAgreement(const PlanPtr& plan, const Catalog& catalog,
-                         const PlannerOptions& options = {}) {
-  Relation reference;
+/// Runs `plan` serially at each boundary batch size; every relation must
+/// equal the semantics oracle, and the plan-wide row accounting must match
+/// the default 1024-row run exactly.
+void ExpectBatchSizeAgreement(const PlanPtr& plan, const Catalog& catalog,
+                              const PlannerOptions& options = {}) {
+  const Relation oracle = Evaluate(plan, catalog);
+  ScopedExecThreads serial(1);
   ExecProfile reference_profile;
   {
-    ScopedExecMode tuple_mode(ExecMode::kTuple);
-    reference = ExecutePlan(plan, catalog, options, &reference_profile);
+    ScopedBatchRows scoped(1024);
+    EXPECT_EQ(ExecutePlan(plan, catalog, options, &reference_profile), oracle);
   }
-  // Tuple mode must agree with the semantics oracle.
-  EXPECT_EQ(reference, Evaluate(plan, catalog));
-
-  ScopedExecMode batch_mode(ExecMode::kBatch);
   for (size_t batch_rows : kBoundarySizes) {
     ScopedBatchRows scoped(batch_rows);
     ExecProfile profile;
     Relation result = ExecutePlan(plan, catalog, options, &profile);
-    EXPECT_EQ(result, reference) << "batch_rows=" << batch_rows;
+    EXPECT_EQ(result, oracle) << "batch_rows=" << batch_rows;
     EXPECT_EQ(profile.total_rows, reference_profile.total_rows)
-        << "rows_produced accounting diverged at batch_rows=" << batch_rows << "\ntuple:\n"
+        << "rows_produced accounting diverged at batch_rows=" << batch_rows << "\n1024:\n"
         << reference_profile.explain << "batch:\n"
         << profile.explain;
     EXPECT_EQ(profile.max_rows, reference_profile.max_rows) << "batch_rows=" << batch_rows;
@@ -74,7 +72,7 @@ TEST(BatchExecProperty, DivisionAllAlgorithmsAllBatchSizes) {
         DivisionAlgorithm::kSortCount, DivisionAlgorithm::kNestedLoop}) {
     PlannerOptions options;
     options.division = algorithm;
-    ExpectModeAgreement(plan, catalog, options);
+    ExpectBatchSizeAgreement(plan, catalog, options);
   }
 }
 
@@ -86,7 +84,7 @@ TEST(BatchExecProperty, GreatDivideBothAlgorithms) {
        {GreatDivideAlgorithm::kHash, GreatDivideAlgorithm::kGroup}) {
     PlannerOptions options;
     options.great_divide = algorithm;
-    ExpectModeAgreement(plan, catalog, options);
+    ExpectBatchSizeAgreement(plan, catalog, options);
   }
 }
 
@@ -98,15 +96,15 @@ TEST(BatchExecProperty, FilterProjectPipeline) {
                                 Expr::Compare(CmpOp::kNe, Expr::Column("a"), Expr::Column("b")));
   PlanPtr plan = LogicalOp::Project(
       LogicalOp::Select(LogicalOp::Scan(catalog, "r1"), predicate), {"a"});
-  ExpectModeAgreement(plan, catalog);
+  ExpectBatchSizeAgreement(plan, catalog);
 }
 
 TEST(BatchExecProperty, FilterKeepsNothingAndEverything) {
   Catalog catalog = SuppliersCatalog();
-  ExpectModeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
+  ExpectBatchSizeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
                                         Expr::ColCmp("a", CmpOp::kLt, V(-1))),
                       catalog);
-  ExpectModeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
+  ExpectBatchSizeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
                                         Expr::ColCmp("a", CmpOp::kGe, V(0))),
                       catalog);
 }
@@ -116,15 +114,15 @@ TEST(BatchExecProperty, JoinsAcrossBatchSizes) {
   PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
   PlanPtr spj = LogicalOp::Scan(catalog, "spj");
   // Natural join on the shared attribute names.
-  ExpectModeAgreement(
+  ExpectBatchSizeAgreement(
       LogicalOp::NaturalJoin(r1, LogicalOp::Rename(spj, {{"s", "a"}, {"p", "x"}})), catalog);
   // Theta equi-join keeps both key columns.
-  ExpectModeAgreement(LogicalOp::ThetaJoin(spj, LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}}),
+  ExpectBatchSizeAgreement(LogicalOp::ThetaJoin(spj, LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}}),
                                            Expr::ColEqCol("p", "p2")),
                       catalog);
   // Semi and anti joins.
-  ExpectModeAgreement(LogicalOp::SemiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
-  ExpectModeAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::SemiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
 }
 
 TEST(BatchExecProperty, SetOperationsWithReorderedSchemas) {
@@ -135,9 +133,9 @@ TEST(BatchExecProperty, SetOperationsWithReorderedSchemas) {
   PlanPtr left = LogicalOp::Scan(catalog, "r1");
   PlanPtr right = LogicalOp::Project(
       LogicalOp::Rename(LogicalOp::Scan(catalog, "r1b"), {}), {"b", "a"});
-  ExpectModeAgreement(LogicalOp::Union(left, right), catalog);
-  ExpectModeAgreement(LogicalOp::Intersect(left, right), catalog);
-  ExpectModeAgreement(LogicalOp::Difference(left, right), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Union(left, right), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Intersect(left, right), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Difference(left, right), catalog);
 }
 
 TEST(BatchExecProperty, GroupByAggregates) {
@@ -145,11 +143,11 @@ TEST(BatchExecProperty, GroupByAggregates) {
   PlanPtr plan = LogicalOp::GroupBy(
       LogicalOp::Scan(catalog, "r1"), {"a"},
       {{AggFunc::kCount, "", "n"}, {AggFunc::kMax, "b", "max_b"}, {AggFunc::kAvg, "b", "avg_b"}});
-  ExpectModeAgreement(plan, catalog);
+  ExpectBatchSizeAgreement(plan, catalog);
   // Global aggregate (no group attributes) over a nonempty and empty input.
   PlanPtr global = LogicalOp::GroupBy(LogicalOp::Scan(catalog, "r1"), {},
                                       {{AggFunc::kCount, "", "n"}});
-  ExpectModeAgreement(global, catalog);
+  ExpectBatchSizeAgreement(global, catalog);
 }
 
 TEST(BatchExecProperty, EmptyInputsEverywhere) {
@@ -162,12 +160,12 @@ TEST(BatchExecProperty, EmptyInputsEverywhere) {
   PlanPtr empty_b = LogicalOp::Scan(catalog, "empty_b");
   PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
   PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
-  ExpectModeAgreement(LogicalOp::Divide(empty_ab, r2), catalog);
-  ExpectModeAgreement(LogicalOp::Divide(r1, empty_b), catalog);  // r1 ÷ ∅ = πA(r1)
-  ExpectModeAgreement(LogicalOp::NaturalJoin(r1, empty_ab), catalog);
-  ExpectModeAgreement(LogicalOp::Union(r1, empty_ab), catalog);
-  ExpectModeAgreement(LogicalOp::Difference(empty_ab, r1), catalog);
-  ExpectModeAgreement(LogicalOp::GroupBy(empty_ab, {"a"}, {{AggFunc::kCount, "", "n"}}),
+  ExpectBatchSizeAgreement(LogicalOp::Divide(empty_ab, r2), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Divide(r1, empty_b), catalog);  // r1 ÷ ∅ = πA(r1)
+  ExpectBatchSizeAgreement(LogicalOp::NaturalJoin(r1, empty_ab), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Union(r1, empty_ab), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Difference(empty_ab, r1), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::GroupBy(empty_ab, {"a"}, {{AggFunc::kCount, "", "n"}}),
                       catalog);
 }
 
@@ -178,9 +176,9 @@ TEST(BatchExecProperty, StringKeysAndMixedTypes) {
   catalog.Put("r2", StringifyAttribute(gen.Divisor(5, 16), "b"));
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
                                    LogicalOp::Scan(catalog, "r2"));
-  ExpectModeAgreement(plan, catalog);
+  ExpectBatchSizeAgreement(plan, catalog);
   // String-valued filter through the verdict cache.
-  ExpectModeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
+  ExpectBatchSizeAgreement(LogicalOp::Select(LogicalOp::Scan(catalog, "r1"),
                                         Expr::ColCmp("b", CmpOp::kEq, V("v3"))),
                       catalog);
 }
@@ -205,9 +203,9 @@ TEST(BatchExecProperty, WideKeysHitSpillPath) {
   catalog.Put("wide_divisor", Relation(r1.schema().Project(b_names), std::move(divisor_rows)));
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "wide"),
                                    LogicalOp::Scan(catalog, "wide_divisor"));
-  ExpectModeAgreement(plan, catalog);
+  ExpectBatchSizeAgreement(plan, catalog);
   // Wide projection dedup takes the encoder's spill representation too.
-  ExpectModeAgreement(LogicalOp::Project(LogicalOp::Scan(catalog, "wide"), b_names), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::Project(LogicalOp::Scan(catalog, "wide"), b_names), catalog);
 }
 
 TEST(BatchExecProperty, RandomizedPlansAgainstOracle) {
@@ -221,7 +219,6 @@ TEST(BatchExecProperty, RandomizedPlansAgainstOracle) {
                           Expr::ColCmp("a", CmpOp::kGe, V(gen.UniformInt(0, 3)))),
         LogicalOp::Scan(catalog, "r2"));
     ScopedBatchRows scoped(static_cast<size_t>(gen.UniformInt(1, 64)));
-    ScopedExecMode batch_mode(ExecMode::kBatch);
     EXPECT_EQ(ExecutePlan(plan, catalog), Evaluate(plan, catalog)) << "round " << round;
   }
 }
@@ -233,7 +230,7 @@ TEST(BatchExecProperty, HealyExpansionAgreesAcrossModes) {
                                    LogicalOp::Scan(catalog, "parts"));
   PlannerOptions options;
   options.expand_divide = true;
-  ExpectModeAgreement(plan, catalog, options);
+  ExpectBatchSizeAgreement(plan, catalog, options);
 }
 
 // --- batch plumbing unit tests ---------------------------------------------
@@ -246,7 +243,6 @@ TEST(BatchUnit, ScanEmitsEncodedBatchesFromCatalogEncoding) {
   ASSERT_NE(encoding, nullptr);
   EXPECT_EQ(encoding->rows, r.size());
 
-  ScopedExecMode batch_mode(ExecMode::kBatch);
   ScopedBatchRows two(2);
   RelationScan scan(BorrowRelation(catalog.Get("t")), encoding);
   scan.Open();
@@ -285,7 +281,6 @@ TEST(BatchUnit, AdapterWrapsTupleOnlyIterators) {
   // its Next() stream without double counting.
   Relation left = Relation::Parse("a", "1; 2; 3");
   Relation right = Relation::Parse("x", "7; 8");
-  ScopedExecMode batch_mode(ExecMode::kBatch);
   ScopedBatchRows four(4);
   CrossProductIterator it(std::make_unique<RelationScan>(BorrowRelation(left)),
                           std::make_unique<RelationScan>(BorrowRelation(right)));
@@ -298,7 +293,6 @@ TEST(BatchUnit, SelectionVectorSurvivesPassThroughOperators) {
   // Filter marks survivors via selection; Rename forwards the batch as-is.
   Catalog catalog;
   catalog.Put("t", Relation::Parse("a, b", "1,1; 2,2; 3,3; 4,4"));
-  ScopedExecMode batch_mode(ExecMode::kBatch);
   PlanPtr plan = LogicalOp::Rename(
       LogicalOp::Select(LogicalOp::Scan(catalog, "t"), Expr::ColCmp("a", CmpOp::kGt, V(2))),
       {{"a", "a2"}});
@@ -310,7 +304,6 @@ TEST(BatchUnit, ExplainTreeCountsRowsNotBatches) {
   Catalog catalog = SuppliersCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
                                    LogicalOp::Scan(catalog, "r2"));
-  ScopedExecMode batch_mode(ExecMode::kBatch);
   ScopedBatchRows seven(7);
   ExecProfile profile;
   Relation result = ExecutePlan(plan, catalog, {}, &profile);

@@ -17,6 +17,7 @@
 #include "exec/pipeline.hpp"
 #include "exec/query_context.hpp"
 #include "exec/scheduler.hpp"
+#include "paper_fixtures.hpp"
 #include "util/status.hpp"
 
 namespace quotient {
@@ -53,7 +54,7 @@ struct ScopedDisarm {
 
 TEST(GovernorTest, CancelFromAnotherThreadDeliversCancelledAndPoolSurvives) {
   ScopedExecThreads threads(8);
-  ScopedSerialRowThreshold no_serial(0);  // force the parallel morsel path
+  ScopedUncappedPipelines uncapped;  // force the parallel morsel path
   ScopedMorselRows morsels(64);
   ScopedBatchRows batches(64);
   Session session = MakeDivisionSession({}, /*groups=*/4000, /*divisor=*/48);
@@ -155,20 +156,20 @@ TEST(GovernorTest, ProfileAndExplainAnalyzeReportGovernorAccounting) {
 TEST(GovernorTest, ScopedKnobGuardsRestoreOnUnwind) {
   const size_t threads0 = GetExecThreads();
   const size_t morsel0 = GetMorselRows();
-  const size_t serial0 = GetSerialRowThreshold();
+  ASSERT_FALSE(PipelinesUncapped());
   try {
     ScopedExecThreads threads(threads0 + 3);
     ScopedMorselRows morsels(morsel0 + 7);
-    ScopedSerialRowThreshold serial(serial0 + 11);
+    ScopedUncappedPipelines uncapped;
     EXPECT_EQ(GetExecThreads(), threads0 + 3);
     EXPECT_EQ(GetMorselRows(), morsel0 + 7);
-    EXPECT_EQ(GetSerialRowThreshold(), serial0 + 11);
+    EXPECT_TRUE(PipelinesUncapped());
     throw std::runtime_error("unwind");
   } catch (const std::runtime_error&) {
   }
   EXPECT_EQ(GetExecThreads(), threads0);
   EXPECT_EQ(GetMorselRows(), morsel0);
-  EXPECT_EQ(GetSerialRowThreshold(), serial0);
+  EXPECT_FALSE(PipelinesUncapped());
 }
 
 TEST(GovernorTest, LoadCsvFileFailureNamesPathAndReason) {
@@ -209,7 +210,7 @@ TEST(FaultInjectionTest, NthHitSemantics) {
 // state. Sites off this workload's path simply never fire (the statement
 // succeeds), which the assertions below allow.
 TEST(FaultInjectionTest, SweepAllSitesUnwindsCleanAcrossThreadCounts) {
-  ScopedSerialRowThreshold no_serial(0);  // exercise the parallel sinks
+  ScopedUncappedPipelines uncapped;  // exercise the parallel sinks
   ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
 
@@ -275,6 +276,38 @@ TEST(FaultInjectionTest, SweepAllSitesUnwindsCleanAcrossThreadCounts) {
   }
 }
 
+// Tiny drains are the one-chunk case of the batch pipeline, so the pipeline
+// fault sites sit on their path too. Default configuration on purpose: no
+// uncap guard, default morsel and batch rows — a divisor and dividend of a
+// few rows each, estimated far under two morsels, drain at dop 1.
+TEST(FaultInjectionTest, TinyDivisorDrainReachesPipelineSites) {
+  ScopedExecThreads threads(4);
+  const char* query =
+      "SELECT s# FROM supplies AS s DIVIDE BY ("
+      "SELECT p# FROM parts WHERE color = 'blue') AS p ON s.p# = p.p#";
+  for (const std::string site : {"pipeline.drain", "sink.codec_append"}) {
+    SCOPED_TRACE(site);
+    FaultInjector injector;
+    ScopedDisarm disarm(&injector);
+    SessionOptions options;
+    options.fault_injector = &injector;
+    Session session(options);
+    ASSERT_TRUE(session.CreateTable("supplies", paper::SuppliesTable()).ok());
+    ASSERT_TRUE(session.CreateTable("parts", paper::PartsTable()).ok());
+
+    injector.Arm(site, 1);
+    Result<QueryResult> faulted = session.Execute(query);
+    ASSERT_FALSE(faulted.ok()) << "armed site never consulted";
+    EXPECT_EQ(faulted.status().message(), "injected fault at " + site);
+
+    injector.Disarm();
+    Result<QueryResult> again = session.Execute(query);
+    ASSERT_TRUE(again.ok()) << again.error();
+    EXPECT_EQ(again.value().rows, paper::Q2Answer());
+    EXPECT_EQ(again.value().profile.max_dop, 1u) << again.value().profile.explain;
+  }
+}
+
 TEST(FaultInjectionTest, CursorPullFaultDrainsPreFailureRows) {
   ScopedBatchRows batches(1);  // one row per pull, so the 3rd pull = 3rd row
   FaultInjector injector;
@@ -331,7 +364,7 @@ TEST(FaultInjectionTest, SnapshotPublishFaultLeavesPreviousCatalogLive) {
 }
 
 TEST(FaultInjectionTest, AggregateSinkSiteFiresOnGroupByStatements) {
-  ScopedSerialRowThreshold no_serial(0);
+  ScopedUncappedPipelines uncapped;
   ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
   for (size_t threads : {size_t{1}, size_t{8}}) {

@@ -1,12 +1,11 @@
 // Morsel-driven parallel execution (docs/parallel_execution.md) must be
-// indistinguishable from the serial disciplines: these property tests run
-// the same physical plans under ExecMode::kParallel at threads ∈ {1, 2, 3,
-// 8} — with the serial-row-threshold heuristic disabled and morsels shrunk
-// so even the paper's fixtures split into many chunks — and require
-// relations AND per-operator row accounting identical to both serial batch
-// (ExecMode::kBatch) and tuple-at-a-time (ExecMode::kTuple) execution.
-// The chunk-ordered merge makes this exact, not just set-equal: Relation
-// equality is tuple-order-sensitive.
+// indistinguishable from serial execution: these property tests run the
+// same physical plans at threads ∈ {1, 2, 3, 8} — with the estimate-driven
+// worker cap disabled and morsels shrunk so even the paper's fixtures split
+// into many chunks — and require relations identical to the oracle
+// (plan/evaluate) AND relations plus per-operator row accounting identical
+// to a default one-worker run. The chunk-ordered merge makes this exact,
+// not just set-equal: Relation equality is tuple-order-sensitive.
 
 #include <gtest/gtest.h>
 
@@ -31,38 +30,33 @@ namespace {
 
 const size_t kThreadCounts[] = {1, 2, 3, 8};
 
-/// Runs `plan` under kTuple (the semantics reference) and kBatch (the
-/// serial batch reference), then under kParallel at every thread count with
-/// the pipeline path forced on (threshold 0, small morsels). Relations and
-/// plan-wide row accounting must match exactly everywhere.
+/// Runs `plan` at one worker in the default configuration (the serial
+/// reference), then at every thread count with the pipeline path forced on
+/// (uncapped, small morsels). Relations must match the oracle and the
+/// serial run exactly; plan-wide row accounting must match the serial run.
 void ExpectParallelAgreement(const PlanPtr& plan, const Catalog& catalog,
                              const PlannerOptions& options = {}, size_t batch_rows = 128,
                              size_t morsel_rows = 16) {
+  const Relation oracle = Evaluate(plan, catalog);
   Relation reference;
   ExecProfile reference_profile;
   {
-    ScopedExecMode tuple_mode(ExecMode::kTuple);
+    ScopedExecThreads serial(1);
     reference = ExecutePlan(plan, catalog, options, &reference_profile);
   }
-  {
-    ScopedExecMode batch_mode(ExecMode::kBatch);
-    ExecProfile profile;
-    Relation result = ExecutePlan(plan, catalog, options, &profile);
-    EXPECT_EQ(result, reference) << "serial batch diverged from tuple";
-    EXPECT_EQ(profile.total_rows, reference_profile.total_rows);
-  }
+  EXPECT_EQ(reference, oracle) << "serial run diverged from the oracle";
 
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
+  ScopedUncappedPipelines uncapped;
   ScopedMorselRows morsels(morsel_rows);
   ScopedBatchRows batches(batch_rows);
   for (size_t threads : kThreadCounts) {
     ScopedExecThreads scoped(threads);
     ExecProfile profile;
     Relation result = ExecutePlan(plan, catalog, options, &profile);
+    EXPECT_EQ(result, oracle) << "threads=" << threads;
     EXPECT_EQ(result, reference) << "threads=" << threads;
     EXPECT_EQ(profile.total_rows, reference_profile.total_rows)
-        << "rows_produced accounting diverged at threads=" << threads << "\ntuple:\n"
+        << "rows_produced accounting diverged at threads=" << threads << "\nserial:\n"
         << reference_profile.explain << "parallel:\n"
         << profile.explain;
     EXPECT_EQ(profile.max_rows, reference_profile.max_rows) << "threads=" << threads;
@@ -235,8 +229,7 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
 
 TEST(ParallelExecProperty, RandomizedPlansAgainstOracle) {
   DataGen gen(0xF00D);
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
+  ScopedUncappedPipelines uncapped;
   for (int round = 0; round < 12; ++round) {
     Catalog catalog;
     catalog.Put("r1", gen.Dividend(gen.UniformInt(0, 16), gen.UniformInt(1, 10), 0.4));
@@ -259,7 +252,6 @@ TEST(ParallelExecProperty, PartitionedGreatDivideMatchesSingleThread) {
   DataGen gen(0x1A13);
   Relation dividend = gen.Dividend(50, 24, 0.4);
   Relation divisor = gen.GreatDivisor(6, 24, 0.3);
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
   Relation reference = ExecGreatDivide(dividend, divisor, GreatDivideAlgorithm::kHash);
   for (size_t partitions : {1, 2, 3, 5}) {
     for (size_t threads : kThreadCounts) {
@@ -276,8 +268,7 @@ TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
   Catalog catalog = WorkloadCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
                                    LogicalOp::Scan(catalog, "r2"));
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
+  ScopedUncappedPipelines uncapped;
   ScopedMorselRows morsels(8);
   ScopedBatchRows batches(8);
   ScopedExecThreads threads(4);
@@ -289,19 +280,19 @@ TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
   EXPECT_NE(profile.pipelines.find("dop="), std::string::npos) << profile.pipelines;
 }
 
-TEST(ParallelExecUnit, SerialRowThresholdFallsBackToTupleDrains) {
-  // Tiny inputs under the threshold drain tuple-at-a-time: no pipeline dop
-  // is recorded anywhere in the plan.
+TEST(ParallelExecUnit, TinyInputsDrainAtDopOne) {
+  // The estimate-driven worker cap gives inputs under two morsels one
+  // worker: at 4 threads every drain of the paper's fixture runs serially.
   Catalog catalog = WorkloadCatalog();
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "fig1_r1"),
                                    LogicalOp::Scan(catalog, "fig1_r2"));
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold threshold(1024);
   ScopedExecThreads threads(4);
   ExecProfile profile;
   Relation result = ExecutePlan(plan, catalog, {}, &profile);
   EXPECT_EQ(result, paper::Fig1Quotient());
-  EXPECT_EQ(profile.max_dop, 0u) << profile.explain;
+  EXPECT_EQ(profile.max_dop, 1u) << profile.explain;
+  EXPECT_NE(profile.explain.find("dop=1"), std::string::npos) << profile.explain;
+  EXPECT_EQ(profile.explain.find("dop=4"), std::string::npos) << profile.explain;
 }
 
 TEST(ParallelExecUnit, PipelineDecompositionSplitsAtBreakers) {
@@ -379,8 +370,7 @@ TEST(ParallelExecProperty, PartitionedGreatDivideWithNestedParallelDrains) {
   DataGen gen(0xD1B);
   Relation dividend = gen.Dividend(120, 24, 0.4);
   Relation divisor = gen.GreatDivisor(5, 24, 0.3);
-  ScopedExecMode parallel_mode(ExecMode::kParallel);
-  ScopedSerialRowThreshold force_pipelines(0);
+  ScopedUncappedPipelines uncapped;
   ScopedMorselRows morsels(8);
   ScopedBatchRows batches(16);
   Relation reference;
