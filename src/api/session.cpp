@@ -9,7 +9,6 @@
 
 #include "api/txn.hpp"
 #include "exec/exec_basic.hpp"
-#include "exec/pipeline.hpp"
 #include "sql/interp.hpp"
 #include "sql/lexer.hpp"
 #include "sql/lower.hpp"
@@ -253,26 +252,13 @@ Relation ResultCursor::Drain() {
 ExecProfile ResultCursor::Profile() const {
   if (root_ == nullptr) return final_profile_;  // closed: serve the capture
   ExecProfile profile;
-  profile.total_rows = TotalRowsProduced(*root_);
-  profile.max_rows = MaxRowsProduced(*root_);
-  profile.max_dop = MaxPipelineDop(*root_);
-  profile.explain = ExplainTree(*root_);
-  profile.pipelines = DescribePipelines(*root_);
+  FillRunProfile(root_.get(), ctx_.get(), &profile);
   profile.rewrite_steps = compile_.rewrites.size();
   profile.plan_cache_hit = compile_.cache_hit;
   profile.fallback_reason = compile_.fallback_reason;
   if (!compile_.cache_hit) {
     profile.search_candidates = compile_.search_candidates;
     profile.memo_hits = compile_.memo_hits;
-  }
-  if (ctx_ != nullptr) {
-    profile.rows_charged_bytes = ctx_->charged_bytes();
-    profile.cancelled = ctx_->cancelled();
-    profile.fault_site = ctx_->fault_site();
-    profile.spill_partitions = ctx_->spill_partitions();
-    profile.spill_bytes_written = ctx_->spill_bytes_written();
-    profile.recycler_hits = ctx_->recycler_hits();
-    profile.recycler_misses = ctx_->recycler_misses();
   }
   return profile;
 }
@@ -643,11 +629,7 @@ Result<QueryResult> Session::Run(const BoundStatement& bound) {
             "OracleInterpreter (tuple-at-a-time fallback: " + entry.info.fallback_reason + ")\n";
         out.profile.total_rows = out.rows.size();
         out.profile.max_rows = out.rows.size();
-        out.profile.rows_charged_bytes = context->charged_bytes();
-        out.profile.cancelled = context->cancelled();
-        out.profile.fault_site = context->fault_site();
-        out.profile.spill_partitions = context->spill_partitions();
-        out.profile.spill_bytes_written = context->spill_bytes_written();
+        FillRunProfile(nullptr, context.get(), &out.profile);
       }
     } catch (const QueryAbort& e) {
       return Result<QueryResult>::Error(e.status());

@@ -34,12 +34,6 @@ std::shared_ptr<const TableEncoding> TableEncoding::Build(const Relation& relati
   return encoding;
 }
 
-void Batch::AppendOwnedRow(Tuple t) {
-  owned_.push_back(std::make_unique<Tuple>(std::move(t)));
-  row_refs_.push_back(owned_.back().get());
-  ++rows_;
-}
-
 void Batch::ToTuple(size_t row, Tuple* out) const {
   if (row_mode_) {
     *out = *row_refs_[row];

@@ -6,17 +6,18 @@
 // dictionary ids (plus a Value spill representation for attributes that are
 // not dictionary-encoded), so the hot operators — division, great divide,
 // joins, grouping, deduplication — run tight per-batch array loops instead
-// of one virtual Next() call per tuple. Dictionary ids come from per-table
+// of one virtual call per tuple. Dictionary ids come from per-table
 // column dictionaries (TableEncoding, cached by plan/catalog), and batch-
 // level key packing reuses the key_codec machinery of PR 1: translation
 // arrays map a table dictionary's ids straight into an operator's KeyCodec /
 // IncrementalKeyEncoder id space, replacing a Value hash per row with an
 // array load per row.
 //
-// Batches are the executor's one drain discipline: every blocking drain is
-// a NextBatch() pipeline (exec/pipeline.hpp), serial execution being its
-// one-worker case. Row-at-a-time semantics live only in the oracles
-// (algebra/, plan/evaluate, sql/interp) the property tests cross-check.
+// Batches are the executor's one pull contract: Iterator::NextBatch() is the
+// only way rows leave an operator, and every blocking drain is a NextBatch()
+// pipeline (exec/pipeline.hpp), serial execution being its one-worker case.
+// Row-at-a-time semantics live only in the oracles (algebra/,
+// plan/evaluate, sql/interp) the property tests cross-check.
 
 #include <algorithm>
 #include <cstdint>
@@ -61,8 +62,8 @@ struct TableEncoding {
 using TableEncodingPtr = std::shared_ptr<const TableEncoding>;
 
 /// One output column of a Batch: either dictionary-encoded (`dict` set, one
-/// uint32 id per row) or a plain Value vector (the spill representation used
-/// by the legacy adapter and for computed/join-copied attributes).
+/// uint32 id per row) or a plain Value vector (the spill representation for
+/// computed and join-copied attributes).
 struct BatchColumn {
   const ValueDict* dict = nullptr;  // non-owning; owner outlives the batch
   std::vector<uint32_t> ids;
@@ -80,9 +81,8 @@ struct BatchColumn {
 /// A batch of rows flowing between operators. Two layouts:
 ///
 ///  * columnar — num_columns() BatchColumns, each encoded or Value-typed;
-///  * row view — pointers to Tuples in stable storage (a materialized
-///    Relation, an operator's results vector, or the batch's own owned-row
-///    store filled by the legacy Next() adapter).
+///  * row view — pointers to Tuples in stable storage the producer owns (a
+///    materialized Relation or a blocking operator's results vector).
 ///
 /// A selection vector filters either layout without moving data: filters
 /// and semi joins mark qualifying physical row indices instead of copying
@@ -96,7 +96,6 @@ class Batch {
     columns_.resize(num_cols);
     for (BatchColumn& c : columns_) c.Clear();
     row_refs_.clear();
-    owned_.clear();
     ClearSelection();
   }
 
@@ -106,7 +105,6 @@ class Batch {
     rows_ = 0;
     columns_.clear();
     row_refs_.clear();
-    owned_.clear();
     ClearSelection();
   }
 
@@ -137,8 +135,6 @@ class Batch {
     row_refs_.push_back(t);
     ++rows_;
   }
-  /// Appends a tuple owned by the batch (the legacy Next() adapter path).
-  void AppendOwnedRow(Tuple t);
 
   /// Copies physical row `row` out as a Tuple (clears `out` first).
   void ToTuple(size_t row, Tuple* out) const;
@@ -163,11 +159,6 @@ class Batch {
   size_t rows_ = 0;
   std::vector<BatchColumn> columns_;
   std::vector<const Tuple*> row_refs_;
-  // Backing store for AppendOwnedRow: the unique_ptr indirection keeps each
-  // Tuple's address stable while the vector grows (row_refs_ point at the
-  // pointees). Do NOT flatten to std::vector<Tuple> — reallocation would
-  // dangle row_refs_.
-  std::vector<std::unique_ptr<Tuple>> owned_;
   std::vector<uint32_t> sel_;
   bool has_sel_ = false;
 };

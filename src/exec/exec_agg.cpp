@@ -241,13 +241,6 @@ void HashAggregateIterator::Open() {
   if (!grouping_) grouping_ = BuildArtifact();
 }
 
-bool HashAggregateIterator::Next(Tuple* out) {
-  if (position_ >= grouping_->rows.size()) return false;
-  *out = grouping_->rows[position_++];
-  CountRow();
-  return true;
-}
-
 bool HashAggregateIterator::NextBatch(Batch* out) {
   if (!EmitResultBatch(grouping_->rows, &position_, out)) return false;
   CountRows(out->ActiveRows());

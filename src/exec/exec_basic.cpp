@@ -20,11 +20,6 @@ std::vector<size_t> ReorderIndices(const Schema& to, const Schema& from) {
   return indices;
 }
 
-Tuple MaybeReorder(const Tuple& t, const std::vector<size_t>& indices) {
-  if (indices.empty()) return t;
-  return ProjectTuple(t, indices);
-}
-
 /// Copies the active-position rows `picks` of `in` into a compact columnar
 /// `out` with `num_cols` columns; out column c reads in column
 /// (col_map ? (*col_map)[c] : c). Encoded columns stay encoded (the ids are
@@ -111,13 +106,6 @@ void BuildKeySet(Iterator& right, const std::vector<size_t>& right_reorder,
   }
 }
 
-bool RelationScan::Next(Tuple* out) {
-  if (position_ >= relation_->size()) return false;
-  *out = relation_->tuples()[position_++];
-  CountRow();
-  return true;
-}
-
 bool RelationScan::NextBatch(Batch* out) {
   size_t n = relation_->size();
   if (position_ >= n) return false;
@@ -179,26 +167,6 @@ void FilterIterator::Open() {
   residual_ = residual.empty() ? nullptr : Expr::AndAll(std::move(residual));
   residual_bound_ =
       residual_ ? std::make_unique<BoundExpr>(residual_, child_->schema()) : nullptr;
-}
-
-bool FilterIterator::Next(Tuple* out) {
-  while (child_->Next(out)) {
-    if (bound_->EvalBool(*out)) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
-}
-
-const Tuple* FilterIterator::NextRef() {
-  while (const Tuple* t = child_->NextRef()) {
-    if (bound_->EvalBool(*t)) {
-      CountRow();
-      return t;
-    }
-  }
-  return nullptr;
 }
 
 bool FilterIterator::RowPasses(const Batch& batch, uint32_t row) {
@@ -277,24 +245,6 @@ void ProjectIterator::Open() {
   keyer_ = std::make_unique<BatchIncrementalKeyer>(&encoder_, indices_.size());
 }
 
-bool ProjectIterator::Next(Tuple* out) {
-  SmallByteKey spill;
-  while (const Tuple* t = child_->NextRef()) {
-    // Dedup on the encoded key; only materialize the projection for fresh
-    // keys.
-    bool fresh = encoder_.fits64()
-                     ? seen64_.insert(encoder_.Encode64(*t, &indices_)).second
-                     : (encoder_.EncodeSpill(*t, &indices_, &spill),
-                        seen_spill_.insert(spill).second);
-    if (fresh) {
-      *out = ProjectTuple(*t, indices_);
-      CountRow();
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ProjectIterator::NextBatch(Batch* out) {
   while (child_->NextBatch(&in_batch_)) {
     keyer_->Keys(in_batch_, &indices_, &keys64_, &keys_spill_);
@@ -324,12 +274,6 @@ RenameIterator::RenameIterator(IterPtr child,
   schema_ = Schema(std::move(attributes));
 }
 
-bool RenameIterator::Next(Tuple* out) {
-  if (!child_->Next(out)) return false;
-  CountRow();
-  return true;
-}
-
 UnionIterator::UnionIterator(IterPtr left, IterPtr right)
     : left_(std::move(left)),
       right_(std::move(right)),
@@ -344,34 +288,6 @@ void UnionIterator::Open() {
   seen64_.clear();
   seen_spill_.clear();
   keyer_ = std::make_unique<BatchIncrementalKeyer>(&encoder_, encoder_.num_cols());
-}
-
-bool UnionIterator::NextAligned(Tuple* out) {
-  if (!on_right_) {
-    if (left_->Next(out)) return true;
-    on_right_ = true;
-  }
-  Tuple t;
-  if (right_->Next(&t)) {
-    *out = MaybeReorder(t, right_reorder_);
-    return true;
-  }
-  return false;
-}
-
-bool UnionIterator::Next(Tuple* out) {
-  SmallByteKey spill;
-  while (NextAligned(out)) {
-    bool fresh = encoder_.fits64()
-                     ? seen64_.insert(encoder_.Encode64(*out, nullptr)).second
-                     : (encoder_.EncodeSpill(*out, nullptr, &spill),
-                        seen_spill_.insert(spill).second);
-    if (fresh) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
 }
 
 bool UnionIterator::EmitFresh(const Batch& in, const std::vector<size_t>* col_map, Batch* out) {
@@ -424,25 +340,6 @@ void IntersectIterator::Open() {
   BuildKeySet(*right_, right_reorder_, encoder_, build64_, build_spill_);
 }
 
-bool IntersectIterator::Next(Tuple* out) {
-  SmallByteKey spill;
-  while (left_->Next(out)) {
-    bool hit;
-    if (encoder_.fits64()) {
-      uint64_t key = encoder_.Encode64(*out, nullptr);
-      hit = build64_.count(key) && emitted64_.insert(key).second;
-    } else {
-      encoder_.EncodeSpill(*out, nullptr, &spill);
-      hit = build_spill_.count(spill) && emitted_spill_.insert(spill).second;
-    }
-    if (hit) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
-}
-
 bool IntersectIterator::NextBatch(Batch* out) {
   while (left_->NextBatch(out)) {
     keyer_->Keys(*out, nullptr, &keys64_, &keys_spill_);
@@ -484,25 +381,6 @@ void DifferenceIterator::Open() {
   BuildKeySet(*right_, right_reorder_, encoder_, build64_, build_spill_);
 }
 
-bool DifferenceIterator::Next(Tuple* out) {
-  SmallByteKey spill;
-  while (left_->Next(out)) {
-    bool keep;
-    if (encoder_.fits64()) {
-      uint64_t key = encoder_.Encode64(*out, nullptr);
-      keep = !build64_.count(key) && emitted64_.insert(key).second;
-    } else {
-      encoder_.EncodeSpill(*out, nullptr, &spill);
-      keep = !build_spill_.count(spill) && emitted_spill_.insert(spill).second;
-    }
-    if (keep) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
-}
-
 bool DifferenceIterator::NextBatch(Batch* out) {
   while (left_->NextBatch(out)) {
     keyer_->Keys(*out, nullptr, &keys64_, &keys_spill_);
@@ -524,45 +402,6 @@ void DifferenceIterator::Close() {
   emitted64_.clear();
   build_spill_.clear();
   emitted_spill_.clear();
-}
-
-CrossProductIterator::CrossProductIterator(IterPtr left, IterPtr right)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      schema_(left_->schema().Concat(right_->schema())) {}
-
-void CrossProductIterator::Open() {
-  ResetCount();
-  left_->Open();
-  right_->Open();
-  right_rows_.clear();
-  right_rows_.reserve(right_->EstimatedRows());
-  while (const Tuple* t = right_->NextRef()) right_rows_.push_back(*t);
-  have_left_ = false;
-  right_pos_ = 0;
-}
-
-bool CrossProductIterator::Next(Tuple* out) {
-  if (right_rows_.empty()) return false;
-  while (true) {
-    if (!have_left_) {
-      if (!left_->Next(&current_left_)) return false;
-      have_left_ = true;
-      right_pos_ = 0;
-    }
-    if (right_pos_ < right_rows_.size()) {
-      *out = ConcatTuples(current_left_, right_rows_[right_pos_++]);
-      CountRow();
-      return true;
-    }
-    have_left_ = false;
-  }
-}
-
-void CrossProductIterator::Close() {
-  left_->Close();
-  right_->Close();
-  right_rows_.clear();
 }
 
 }  // namespace quotient

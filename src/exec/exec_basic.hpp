@@ -31,12 +31,6 @@ class RelationScan : public Iterator {
     ResetCount();
     position_ = 0;
   }
-  bool Next(Tuple* out) override;
-  const Tuple* NextRef() override {
-    if (position_ >= relation_->size()) return nullptr;
-    CountRow();
-    return &relation_->tuples()[position_++];
-  }
   bool NextBatch(Batch* out) override;
   void Close() override {}
   const char* name() const override { return "Scan"; }
@@ -70,8 +64,6 @@ class FilterIterator : public Iterator {
 
   const Schema& schema() const override { return child_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
-  const Tuple* NextRef() override;
   bool NextBatch(Batch* out) override;
   void Close() override { child_->Close(); }
   const char* name() const override { return "Filter"; }
@@ -93,8 +85,7 @@ class FilterIterator : public Iterator {
 
   IterPtr child_;
   ExprPtr predicate_;
-  std::unique_ptr<BoundExpr> bound_;
-  // Batch path state.
+  std::unique_ptr<BoundExpr> bound_;  // whole predicate, for row views
   std::vector<ColumnConjunct> column_conjuncts_;
   ExprPtr residual_;  // conjunction of multi-column conjuncts (may be null)
   std::unique_ptr<BoundExpr> residual_bound_;
@@ -109,7 +100,6 @@ class ProjectIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Project"; }
@@ -120,9 +110,8 @@ class ProjectIterator : public Iterator {
   IterPtr child_;
   Schema schema_;
   std::vector<size_t> indices_;
-  // Streaming dedup on incrementally encoded keys (see key_codec.hpp). The
-  // batch path resolves keys through BatchIncrementalKeyer into the SAME
-  // encoder id space, so both paths dedup identically.
+  // Streaming dedup on incrementally encoded keys (see key_codec.hpp),
+  // resolved per batch through BatchIncrementalKeyer.
   IncrementalKeyEncoder encoder_;
   std::unordered_set<uint64_t, FlatKeyHash> seen64_;
   std::unordered_set<SmallByteKey, FlatKeyHash> seen_spill_;
@@ -141,12 +130,6 @@ class RenameIterator : public Iterator {
   void Open() override {
     ResetCount();
     child_->Open();
-  }
-  bool Next(Tuple* out) override;
-  const Tuple* NextRef() override {
-    const Tuple* t = child_->NextRef();
-    if (t != nullptr) CountRow();
-    return t;
   }
   bool NextBatch(Batch* out) override {
     // Renaming is schema-only; batches pass through untouched.
@@ -171,7 +154,6 @@ class UnionIterator : public Iterator {
 
   const Schema& schema() const override { return left_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Union"; }
@@ -181,7 +163,6 @@ class UnionIterator : public Iterator {
   }
 
  private:
-  bool NextAligned(Tuple* out);
   bool EmitFresh(const Batch& in, const std::vector<size_t>* col_map, Batch* out);
 
   IterPtr left_;
@@ -205,7 +186,6 @@ class IntersectIterator : public Iterator {
 
   const Schema& schema() const override { return left_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Intersect"; }
@@ -234,7 +214,6 @@ class DifferenceIterator : public Iterator {
 
   const Schema& schema() const override { return left_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "Difference"; }
@@ -252,29 +231,6 @@ class DifferenceIterator : public Iterator {
   std::unique_ptr<BatchIncrementalKeyer> keyer_;
   std::vector<uint64_t> keys64_;
   std::vector<SmallByteKey> keys_spill_;
-};
-
-/// × (right side materialized).
-class CrossProductIterator : public Iterator {
- public:
-  CrossProductIterator(IterPtr left, IterPtr right);
-
-  const Schema& schema() const override { return schema_; }
-  void Open() override;
-  bool Next(Tuple* out) override;
-  void Close() override;
-  const char* name() const override { return "CrossProduct"; }
-  std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
-  std::vector<size_t> BlockingInputs() override { return {1}; }
-
- private:
-  IterPtr left_;
-  IterPtr right_;
-  Schema schema_;
-  std::vector<Tuple> right_rows_;
-  Tuple current_left_;
-  bool have_left_ = false;
-  size_t right_pos_ = 0;
 };
 
 /// Shared build-side helper for ∩ / −: drains `right`'s batches into an

@@ -339,13 +339,6 @@ void DivisionIterator::Open() {
   });
 }
 
-bool DivisionIterator::Next(Tuple* out) {
-  if (position_ >= results_.size()) return false;
-  *out = results_[position_++];
-  CountRow();
-  return true;
-}
-
 bool DivisionIterator::NextBatch(Batch* out) {
   if (!EmitResultBatch(results_, &position_, out)) return false;
   CountRows(out->ActiveRows());

@@ -207,13 +207,6 @@ void GreatDivideIterator::RunGroupAtATime(const GreatDivideBuildArtifact& build,
   }
 }
 
-bool GreatDivideIterator::Next(Tuple* out) {
-  if (position_ >= results_.size()) return false;
-  *out = results_[position_++];
-  CountRow();
-  return true;
-}
-
 bool GreatDivideIterator::NextBatch(Batch* out) {
   if (!EmitResultBatch(results_, &position_, out)) return false;
   CountRows(out->ActiveRows());
@@ -301,11 +294,14 @@ void SetContainmentJoinIterator::Open() {
   left_->Open();
   right_->Open();
 
-  Tuple t;
+  std::vector<Tuple> rows;
+  DrainRows(*left_, &rows);
   std::vector<std::pair<uint64_t, Tuple>> lhs;
-  while (left_->Next(&t)) lhs.emplace_back(SetSignature(t[left_idx_].as_set()), t);
+  for (Tuple& t : rows) lhs.emplace_back(SetSignature(t[left_idx_].as_set()), std::move(t));
+  rows.clear();
+  DrainRows(*right_, &rows);
   std::vector<std::pair<uint64_t, Tuple>> rhs;
-  while (right_->Next(&t)) rhs.emplace_back(SetSignature(t[right_idx_].as_set()), t);
+  for (Tuple& t : rows) rhs.emplace_back(SetSignature(t[right_idx_].as_set()), std::move(t));
 
   for (const auto& [sig1, t1] : lhs) {
     const std::vector<Value>& s1 = t1[left_idx_].as_set();
@@ -318,13 +314,6 @@ void SetContainmentJoinIterator::Open() {
       }
     }
   }
-}
-
-bool SetContainmentJoinIterator::Next(Tuple* out) {
-  if (position_ >= results_.size()) return false;
-  *out = results_[position_++];
-  CountRow();
-  return true;
 }
 
 bool SetContainmentJoinIterator::NextBatch(Batch* out) {

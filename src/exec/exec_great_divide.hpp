@@ -25,7 +25,6 @@ class GreatDivideIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return GreatDivideAlgorithmName(algorithm_); }
@@ -94,7 +93,6 @@ class SetContainmentJoinIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "SetContainmentJoin"; }

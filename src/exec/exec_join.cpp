@@ -13,21 +13,28 @@ std::vector<size_t> IndicesOf(const Schema& schema, const std::vector<std::strin
   return indices;
 }
 
-/// Core batched probe loop shared by the hash joins: pulls left batches,
+/// Core batched probe loop shared by every join: pulls left batches,
 /// resolves their keys in one pass (BatchKeyProbe), and emits matching
 /// (left row × bucket tuple) pairs into a columnar output batch of at most
 /// GetBatchRows() rows. Left columns stay dictionary-encoded when the input
 /// batch is; bucket tuples are appended as Value columns. Oversized buckets
-/// resume via the state's match cursor. Returns rows emitted (0 = end).
-size_t JoinEmitBatch(Iterator& left, BatchKeyProbe& probe, JoinProbeState& st,
-                     const std::vector<std::vector<Tuple>>& buckets, size_t num_left,
-                     size_t num_right, Batch* out) {
+/// resume via the state's match cursor. `buckets` is indexed by the probe's
+/// dense key ids; with no probe every left row pairs with buckets[0] (× and
+/// the nested-loop θ-join treat the whole right side as one bucket).
+/// Returns rows emitted (0 = end).
+size_t JoinEmitBatch(Iterator& left, BatchKeyProbe* probe, JoinProbeState& st,
+                     const std::vector<Tuple>* buckets, size_t num_left, size_t num_right,
+                     Batch* out) {
   const size_t target = GetBatchRows();
   while (true) {
     if (!st.valid) {
       if (!left.NextBatch(&st.in)) return 0;
       st.keys.clear();
-      probe.Resolve(st.in, &st.keys);
+      if (probe != nullptr) {
+        probe->Resolve(st.in, &st.keys);
+      } else {
+        st.keys.assign(st.in.ActiveRows(), 0);
+      }
       st.pos = 0;
       st.match_pos = 0;
       st.valid = true;
@@ -129,31 +136,12 @@ void HashJoinIterator::Open() {
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }
   if (!build_) build_ = BuildArtifact();
-  matches_ = nullptr;
-  match_pos_ = 0;
   probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
   state_.Reset();
 }
 
-bool HashJoinIterator::Next(Tuple* out) {
-  while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = ConcatTuples(current_left_, (*matches_)[match_pos_++]);
-      CountRow();
-      return true;
-    }
-    matches_ = nullptr;
-    if (!left_->Next(&current_left_)) return false;
-    uint32_t id = build_->numbering.Probe(current_left_, left_key_);
-    if (id != KeyNumbering::kNotFound) {
-      matches_ = &build_->buckets[id];
-      match_pos_ = 0;
-    }
-  }
-}
-
 bool HashJoinIterator::NextBatch(Batch* out) {
-  size_t emitted = JoinEmitBatch(*left_, probe_, state_, build_->buckets,
+  size_t emitted = JoinEmitBatch(*left_, &probe_, state_, build_->buckets.data(),
                                  left_->schema().size(), right_rest_.size(), out);
   if (emitted == 0) return false;
   CountRows(emitted);
@@ -164,6 +152,36 @@ void HashJoinIterator::Close() {
   left_->Close();
   right_->Close();
   build_.reset();
+}
+
+CrossProductIterator::CrossProductIterator(IterPtr left, IterPtr right)
+    : left_(std::move(left)),
+      right_(std::move(right)),
+      schema_(left_->schema().Concat(right_->schema())) {}
+
+void CrossProductIterator::Open() {
+  ResetCount();
+  left_->Open();
+  right_->Open();
+  right_rows_.clear();
+  right_rows_.reserve(right_->EstimatedRows());
+  DrainRows(*right_, &right_rows_);
+  state_.Reset();
+}
+
+bool CrossProductIterator::NextBatch(Batch* out) {
+  if (right_rows_.empty()) return false;
+  size_t emitted = JoinEmitBatch(*left_, nullptr, state_, &right_rows_,
+                                 left_->schema().size(), right_->schema().size(), out);
+  if (emitted == 0) return false;
+  CountRows(emitted);
+  return true;
+}
+
+void CrossProductIterator::Close() {
+  left_->Close();
+  right_->Close();
+  right_rows_.clear();
 }
 
 NestedLoopJoinIterator::NestedLoopJoinIterator(IterPtr left, IterPtr right, ExprPtr condition)
@@ -179,29 +197,26 @@ void NestedLoopJoinIterator::Open() {
   bound_ = std::make_unique<BoundExpr>(condition_, schema_);
   right_rows_.clear();
   right_rows_.reserve(right_->EstimatedRows());
-  while (const Tuple* t = right_->NextRef()) right_rows_.push_back(*t);
-  have_left_ = false;
-  right_pos_ = 0;
+  DrainRows(*right_, &right_rows_);
+  state_.Reset();
 }
 
-bool NestedLoopJoinIterator::Next(Tuple* out) {
+bool NestedLoopJoinIterator::NextBatch(Batch* out) {
   if (right_rows_.empty()) return false;
-  while (true) {
-    if (!have_left_) {
-      if (!left_->Next(&current_left_)) return false;
-      have_left_ = true;
-      right_pos_ = 0;
+  while (JoinEmitBatch(*left_, nullptr, state_, &right_rows_, left_->schema().size(),
+                       right_->schema().size(), out) > 0) {
+    std::vector<uint32_t> sel;
+    for (uint32_t row = 0; row < out->rows(); ++row) {
+      out->ToTuple(row, &candidate_);
+      if (bound_->EvalBool(candidate_)) sel.push_back(row);
     }
-    while (right_pos_ < right_rows_.size()) {
-      Tuple candidate = ConcatTuples(current_left_, right_rows_[right_pos_++]);
-      if (bound_->EvalBool(candidate)) {
-        *out = std::move(candidate);
-        CountRow();
-        return true;
-      }
+    out->SetSelection(std::move(sel));
+    if (out->ActiveRows() > 0) {
+      CountRows(out->ActiveRows());
+      return true;
     }
-    have_left_ = false;
   }
+  return false;
 }
 
 void NestedLoopJoinIterator::Close() {
@@ -251,31 +266,12 @@ void EquiJoinIterator::Open() {
     if (cached) build_ = std::static_pointer_cast<const JoinBuildArtifact>(cached);
   }
   if (!build_) build_ = BuildArtifact();
-  matches_ = nullptr;
-  match_pos_ = 0;
   probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
   state_.Reset();
 }
 
-bool EquiJoinIterator::Next(Tuple* out) {
-  while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = ConcatTuples(current_left_, (*matches_)[match_pos_++]);
-      CountRow();
-      return true;
-    }
-    matches_ = nullptr;
-    if (!left_->Next(&current_left_)) return false;
-    uint32_t id = build_->numbering.Probe(current_left_, left_key_);
-    if (id != KeyNumbering::kNotFound) {
-      matches_ = &build_->buckets[id];
-      match_pos_ = 0;
-    }
-  }
-}
-
 bool EquiJoinIterator::NextBatch(Batch* out) {
-  size_t emitted = JoinEmitBatch(*left_, probe_, state_, build_->buckets,
+  size_t emitted = JoinEmitBatch(*left_, &probe_, state_, build_->buckets.data(),
                                  left_->schema().size(), right_->schema().size(), out);
   if (emitted == 0) return false;
   CountRows(emitted);
@@ -322,19 +318,6 @@ void HashSemiJoinIterator::Open() {
   }
   if (!build_) build_ = BuildArtifact();
   probe_.Bind(&build_->numbering, &build_->codec, &left_key_);
-}
-
-bool HashSemiJoinIterator::Next(Tuple* out) {
-  while (left_->Next(out)) {
-    bool matched = left_key_.empty()
-                       ? !build_->right_empty
-                       : build_->numbering.Probe(*out, left_key_) != KeyNumbering::kNotFound;
-    if (matched != anti_) {
-      CountRow();
-      return true;
-    }
-  }
-  return false;
 }
 
 bool HashSemiJoinIterator::NextBatch(Batch* out) {

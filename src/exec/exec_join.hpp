@@ -10,7 +10,7 @@
 
 namespace quotient {
 
-/// Shared batched-probe state of the hash joins: the current left batch,
+/// Shared batched-probe state of every join: the current left batch,
 /// its per-row dense key ids (BatchKeyProbe resolves one batch at a time in
 /// a tight loop), and the resume cursor for buckets larger than what fits
 /// in one output batch.
@@ -44,7 +44,6 @@ class HashJoinIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "HashJoin"; }
@@ -71,24 +70,45 @@ class HashJoinIterator : public Iterator {
   // rows' right_rest projections (projected once at build, not per emitted
   // row). Possibly shared with concurrent executions through the recycler.
   std::shared_ptr<const JoinBuildArtifact> build_;
-
-  Tuple current_left_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  // Batch path.
   BatchKeyProbe probe_;
+  JoinProbeState state_;
+};
+
+/// × (right side materialized). NextBatch() emits left-order × right-order
+/// rows, at most GetBatchRows() per batch, through the joins' shared emit
+/// loop with the whole right side as one bucket. An empty right side ends
+/// the stream without pulling the left child.
+class CrossProductIterator : public Iterator {
+ public:
+  CrossProductIterator(IterPtr left, IterPtr right);
+
+  const Schema& schema() const override { return schema_; }
+  void Open() override;
+  bool NextBatch(Batch* out) override;
+  void Close() override;
+  const char* name() const override { return "CrossProduct"; }
+  std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
+  std::vector<size_t> BlockingInputs() override { return {1}; }
+
+ private:
+  IterPtr left_;
+  IterPtr right_;
+  Schema schema_;
+  std::vector<Tuple> right_rows_;
   JoinProbeState state_;
 };
 
 /// Nested-loop theta join (right side materialized); handles arbitrary
 /// conditions. Output schema: attrs(left) ++ attrs(right) (disjoint names).
+/// NextBatch() is the × emission with the condition evaluated into the
+/// output batch's selection vector.
 class NestedLoopJoinIterator : public Iterator {
  public:
   NestedLoopJoinIterator(IterPtr left, IterPtr right, ExprPtr condition);
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
+  bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "NestedLoopJoin"; }
   std::vector<Iterator*> InputIterators() override { return {left_.get(), right_.get()}; }
@@ -101,9 +121,8 @@ class NestedLoopJoinIterator : public Iterator {
   ExprPtr condition_;
   std::unique_ptr<BoundExpr> bound_;
   std::vector<Tuple> right_rows_;
-  Tuple current_left_;
-  bool have_left_ = false;
-  size_t right_pos_ = 0;
+  JoinProbeState state_;
+  Tuple candidate_;
 };
 
 /// Hash equi-join on explicit key columns (for theta joins whose condition
@@ -117,7 +136,6 @@ class EquiJoinIterator : public Iterator {
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return "EquiJoin"; }
@@ -138,10 +156,6 @@ class EquiJoinIterator : public Iterator {
   RecycleSpec recycle_;
   // Build side; buckets hold full right rows (theta-join semantics).
   std::shared_ptr<const JoinBuildArtifact> build_;
-  Tuple current_left_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  // Batch path.
   BatchKeyProbe probe_;
   JoinProbeState state_;
 };
@@ -155,7 +169,6 @@ class HashSemiJoinIterator : public Iterator {
 
   const Schema& schema() const override { return left_->schema(); }
   void Open() override;
-  bool Next(Tuple* out) override;
   bool NextBatch(Batch* out) override;
   void Close() override;
   const char* name() const override { return anti_ ? "HashAntiJoin" : "HashSemiJoin"; }
@@ -179,7 +192,6 @@ class HashSemiJoinIterator : public Iterator {
   // The key numbering doubles as the membership set: a probe hit means the
   // left key equals some right key. Buckets stay empty for semi joins.
   std::shared_ptr<const JoinBuildArtifact> build_;
-  // Batch path.
   BatchKeyProbe probe_;
   std::vector<uint32_t> batch_keys_;
 };

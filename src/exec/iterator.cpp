@@ -4,30 +4,22 @@
 
 namespace quotient {
 
-bool Iterator::NextBatch(Batch* out) {
-  // Legacy adapter: wraps the tuple-at-a-time interface so non-batched
-  // operators keep working inside batched pipelines. Rows are owned by the
-  // batch (NextRef pointees die on the next pull, so they cannot be
-  // batched by reference). Next() counts rows itself — no CountRows here.
-  out->ResetRows();
-  size_t target = GetBatchRows();
-  Tuple t;
-  while (out->rows() < target && Next(&t)) out->AppendOwnedRow(std::move(t));
-  return out->rows() > 0;
-}
-
-Relation ExecuteToRelation(Iterator& it) {
-  it.Open();
-  std::vector<Tuple> tuples;
+void DrainRows(Iterator& it, std::vector<Tuple>* out) {
   Batch batch;
   Tuple t;
   while (it.NextBatch(&batch)) {
     GovernorPoll();
     for (size_t i = 0; i < batch.ActiveRows(); ++i) {
       batch.ToTuple(batch.RowAt(i), &t);
-      tuples.push_back(std::move(t));
+      out->push_back(std::move(t));
     }
   }
+}
+
+Relation ExecuteToRelation(Iterator& it) {
+  it.Open();
+  std::vector<Tuple> tuples;
+  DrainRows(it, &tuples);
   it.Close();
   return Relation(it.schema(), std::move(tuples));
 }
@@ -61,7 +53,7 @@ void Render(Iterator& it, std::string* out, int indent) {
   *out += it.name();
   *out += "  rows=" + std::to_string(it.rows_produced());
   // Degree of parallelism of this operator's pipeline drains (recorded by
-  // the pipeline executor; 0 = tuple-mode or streaming operator).
+  // the pipeline executor; 0 = streaming operator, or every drain recycled).
   if (it.pipeline_dop() > 0) *out += "  dop=" + std::to_string(it.pipeline_dop());
   *out += "  " + it.schema().ToString() + "\n";
   for (Iterator* child : it.InputIterators()) Render(*child, out, indent + 1);

@@ -11,43 +11,30 @@
 
 namespace quotient {
 
-/// Volcano-style physical operator: Open / Next / Close, tuple at a time,
-/// plus the batched contract NextBatch() that moves ~GetBatchRows() rows per
-/// virtual call as columns of dictionary ids (see docs/batched_execution.md).
-/// Every iterator counts the tuples it produces; ExecStats aggregates those
-/// counters over a plan so benchmarks can report intermediate-result sizes
-/// (the quantity the Leinders/Van den Bussche result in §6 is about).
+/// Physical operator: Open / NextBatch / Close. NextBatch() is the only way
+/// rows leave an operator: each call moves ~GetBatchRows() rows as columns
+/// of dictionary ids or row views (see docs/batched_execution.md).
+/// Row-at-a-time semantics live only in the oracles (algebra/,
+/// plan/evaluate, sql/interp). Every iterator counts the tuples it
+/// produces; TotalRowsProduced / ExplainTree aggregate those counters over
+/// a plan so benchmarks can report intermediate-result sizes (the quantity
+/// the Leinders/Van den Bussche result in §6 is about).
 class Iterator {
  public:
   virtual ~Iterator() = default;
 
   /// The output schema; valid before Open().
   virtual const Schema& schema() const = 0;
-  /// Acquires resources / builds hash tables. Must be called before Next().
+  /// Acquires resources / builds hash tables. Must be called before
+  /// NextBatch().
   virtual void Open() = 0;
-  /// Produces the next tuple; returns false at end of stream.
-  virtual bool Next(Tuple* out) = 0;
 
-  /// Zero-copy variant of Next(): returns a pointer to the next tuple, or
-  /// nullptr at end of stream. The pointee is only valid until the next
-  /// Next()/NextRef() call. Row-wise operators (filters, projections,
-  /// nested-loop and cross-product builds) pull children through this to
-  /// avoid a Tuple copy per row; scans and pass-through operators override it.
-  virtual const Tuple* NextRef() {
-    return Next(&ref_scratch_) ? &ref_scratch_ : nullptr;
-  }
-
-  /// Batched pull: fills `out` with the next 1..GetBatchRows() active rows
-  /// (batch-producing operators may emit more when forwarding a child batch
-  /// whose selection they only narrow). Returns false at end of stream —
-  /// a true return always carries at least one active row. The batch's
-  /// contents are valid until the next NextBatch() call on this iterator.
-  ///
-  /// The default adapter wraps Next(), so every operator participates in
-  /// batched plans; operators with a columnar fast path override it. Within
-  /// one Open() a caller must commit to one pull discipline — mixing Next()
-  /// and NextBatch() pulls on the same iterator double-consumes the stream.
-  virtual bool NextBatch(Batch* out);
+  /// Fills `out` with the next 1..GetBatchRows() active rows (operators may
+  /// emit more when forwarding a child batch whose selection they only
+  /// narrow). Returns false at end of stream — a true return always carries
+  /// at least one active row. The batch's contents are valid until the next
+  /// NextBatch() call on this iterator.
+  virtual bool NextBatch(Batch* out) = 0;
 
   /// Releases resources; the iterator may be re-Opened afterwards.
   virtual void Close() = 0;
@@ -91,10 +78,8 @@ class Iterator {
   void AddProducedRows(size_t n) { CountRows(n); }
 
  protected:
-  void CountRow() { rows_produced_.fetch_add(1, std::memory_order_relaxed); }
-  /// Batch producers count active rows, not batches, so ExplainTree and
-  /// TotalRowsProduced stay comparable across thread counts. The Next()
-  /// adapter must NOT call this — the wrapped Next() already counts.
+  /// Operators count active rows, not batches, so ExplainTree and
+  /// TotalRowsProduced stay comparable across batch sizes and thread counts.
   void CountRows(size_t n) { rows_produced_.fetch_add(n, std::memory_order_relaxed); }
   /// Clears the row counter AND the recorded pipeline parallelism; every
   /// operator calls this at the top of Open().
@@ -112,13 +97,16 @@ class Iterator {
   size_t pipeline_dop_ = 0;
 
  private:
-  Tuple ref_scratch_;  // backing storage for the default NextRef()
   double cost_rows_hint_ = 0;
 };
 
 using IterPtr = std::unique_ptr<Iterator>;
 
-/// Drains `it` (Open/.../Close) into a canonical Relation, pulling batches.
+/// Appends every remaining row of an Open()ed iterator to `out`, polling
+/// the query governor once per batch.
+void DrainRows(Iterator& it, std::vector<Tuple>* out);
+
+/// Drains `it` (Open/.../Close) into a canonical Relation.
 Relation ExecuteToRelation(Iterator& it);
 
 /// Sum of rows_produced over the whole plan (call after draining).

@@ -12,17 +12,15 @@ namespace quotient {
 
 namespace {
 
-constexpr size_t kDefaultMorselRows = 4096;
-
-std::atomic<size_t>& MorselRowsFlag() {
-  static std::atomic<size_t> rows{kDefaultMorselRows};
-  return rows;
-}
-
 std::atomic<bool>& UncappedFlag() {
   static std::atomic<bool> uncapped{false};
   return uncapped;
 }
+
+/// Fewest source rows per parallel chunk (a "morsel" of contiguous ids):
+/// four batches, 4096 rows at the default batch size; one batch while
+/// pipelines are uncapped.
+size_t MorselFloor() { return PipelinesUncapped() ? GetBatchRows() : 4 * GetBatchRows(); }
 
 /// Approximate payload of a batch for memory-budget charging: 8 bytes per
 /// active cell for columnar batches, a flat 16 per row for row views (the
@@ -70,20 +68,14 @@ SplitSource FindSplittableSource(Iterator& child) {
   }
 }
 
-/// Rows per chunk: at least a morsel (and at least one batch), at most
-/// ~4 chunks per worker so the merge loop stays short.
+/// Rows per chunk: at least a morsel, at most ~4 chunks per worker so the
+/// merge loop stays short.
 size_t ChunkRowsFor(size_t total, size_t threads) {
-  size_t floor_rows = std::max<size_t>(1, std::max(GetMorselRows(), GetBatchRows()));
   size_t spread = (total + threads * 4 - 1) / (threads * 4);
-  return std::max(floor_rows, spread);
+  return std::max(MorselFloor(), spread);
 }
 
 }  // namespace
-
-size_t GetMorselRows() { return MorselRowsFlag().load(std::memory_order_relaxed); }
-void SetMorselRows(size_t rows) {
-  MorselRowsFlag().store(rows == 0 ? 1 : rows, std::memory_order_relaxed);
-}
 
 bool PipelinesUncapped() { return UncappedFlag().load(std::memory_order_relaxed); }
 
@@ -107,7 +99,7 @@ PipelineChoice ChoosePipeline(const Iterator& child) {
   // Cap workers so each gets at least ~two morsels of estimated work —
   // fan-out past that points pays scheduling and merge cost for nothing.
   // Under two morsels that is one worker: the drain runs serially.
-  size_t morsel = std::max<size_t>(1, std::max(GetMorselRows(), GetBatchRows()));
+  size_t morsel = MorselFloor();
   size_t useful = std::max<size_t>(1, static_cast<size_t>(rows) / (2 * morsel));
   choice.workers = std::min(GetExecThreads(), useful);
   // Spread the estimated rows over at most ~4 chunks per capped worker;

@@ -31,30 +31,17 @@
 
 namespace quotient {
 
-/// Target rows per parallel chunk (a "morsel" of contiguous source ids).
-/// Chunks grow past this when the input is large relative to the worker
-/// count (at most ~4 chunks per worker), and are never smaller than one
-/// batch. Default 4096; tests shrink it to force multi-chunk schedules on
-/// small fixtures.
-size_t GetMorselRows();
-void SetMorselRows(size_t rows);
-
 /// True while ScopedUncappedPipelines is alive: ChoosePipeline then skips
-/// every estimate-driven choice, so tests can force the full multi-chunk
-/// machinery on fixtures far smaller than any sane worker cap would allow.
+/// every estimate-driven choice and the morsel floor — the fewest rows per
+/// parallel chunk, otherwise 4 × GetBatchRows() — drops to one batch, so
+/// tests can force the full multi-chunk machinery on fixtures far smaller
+/// than any sane worker cap would allow.
 bool PipelinesUncapped();
 
-/// RAII guards for the knobs above. Like ScopedExecThreads they restore
-/// on any unwind (a faulted or cancelled test must not poison the process
-/// globals for the rest of the suite) and are non-copyable so an accidental
+/// RAII guard for the flag above. Like ScopedExecThreads it restores on
+/// any unwind (a faulted or cancelled test must not poison the process
+/// globals for the rest of the suite) and is non-copyable so an accidental
 /// copy cannot restore twice.
-struct ScopedMorselRows {
-  explicit ScopedMorselRows(size_t rows) : saved(GetMorselRows()) { SetMorselRows(rows); }
-  ~ScopedMorselRows() { SetMorselRows(saved); }
-  ScopedMorselRows(const ScopedMorselRows&) = delete;
-  ScopedMorselRows& operator=(const ScopedMorselRows&) = delete;
-  size_t saved;
-};
 struct ScopedUncappedPipelines {
   ScopedUncappedPipelines();
   ~ScopedUncappedPipelines();
@@ -74,7 +61,7 @@ struct PipelineChoice {
   /// Cap on workers for this pipeline; 0 = no cap (use GetExecThreads()).
   /// Realized by growing chunks, so results stay bit-identical.
   size_t workers = 0;
-  /// Extra floor on rows per chunk; 0 = the global GetMorselRows() floor.
+  /// Extra floor on rows per chunk; 0 = the morsel floor alone.
   size_t morsel_rows = 0;
 };
 

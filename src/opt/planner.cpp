@@ -290,27 +290,31 @@ IterPtr BuildPhysicalPlan(const PlanPtr& plan, const Catalog& catalog,
   return Build(plan, catalog, options, &context);
 }
 
-Relation ExecutePlan(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions& options,
-                     ExecProfile* profile, QueryContext* context, const StatsCache* stats) {
-  ScopedQueryContext scope(context != nullptr ? context : CurrentQueryContext());
-  IterPtr root = BuildPhysicalPlan(plan, catalog, options, stats);
-  Relation result = ExecuteToRelation(*root);
-  if (profile != nullptr) {
+void FillRunProfile(Iterator* root, const QueryContext* context, ExecProfile* profile) {
+  if (root != nullptr) {
     profile->total_rows = TotalRowsProduced(*root);
     profile->max_rows = MaxRowsProduced(*root);
     profile->max_dop = MaxPipelineDop(*root);
     profile->explain = ExplainTree(*root);
     profile->pipelines = DescribePipelines(*root);
-    if (QueryContext* ctx = CurrentQueryContext()) {
-      profile->rows_charged_bytes = ctx->charged_bytes();
-      profile->cancelled = ctx->cancelled();
-      profile->fault_site = ctx->fault_site();
-      profile->spill_partitions = ctx->spill_partitions();
-      profile->spill_bytes_written = ctx->spill_bytes_written();
-      profile->recycler_hits = ctx->recycler_hits();
-      profile->recycler_misses = ctx->recycler_misses();
-    }
   }
+  if (context != nullptr) {
+    profile->rows_charged_bytes = context->charged_bytes();
+    profile->cancelled = context->cancelled();
+    profile->fault_site = context->fault_site();
+    profile->spill_partitions = context->spill_partitions();
+    profile->spill_bytes_written = context->spill_bytes_written();
+    profile->recycler_hits = context->recycler_hits();
+    profile->recycler_misses = context->recycler_misses();
+  }
+}
+
+Relation ExecutePlan(const PlanPtr& plan, const Catalog& catalog, const PlannerOptions& options,
+                     ExecProfile* profile, QueryContext* context, const StatsCache* stats) {
+  ScopedQueryContext scope(context != nullptr ? context : CurrentQueryContext());
+  IterPtr root = BuildPhysicalPlan(plan, catalog, options, stats);
+  Relation result = ExecuteToRelation(*root);
+  if (profile != nullptr) FillRunProfile(root.get(), CurrentQueryContext(), profile);
   return result;
 }
 

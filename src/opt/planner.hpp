@@ -32,7 +32,7 @@ struct PlannerOptions {
   std::shared_ptr<ArtifactRecycler> recycler;
 };
 
-/// Lowers a logical plan to a Volcano iterator tree over `catalog`.
+/// Lowers a logical plan to a physical iterator tree over `catalog`.
 /// ThetaJoins whose condition is a conjunction of cross-side column
 /// equalities become hash equi-joins; other conditions fall back to a
 /// nested-loop join. In parallel mode every operator also gets a
@@ -79,6 +79,12 @@ struct ExecProfile {
 };
 
 class QueryContext;
+
+/// Fills the run-side fields of `profile`, the one place they are copied:
+/// row counters, dop and the EXPLAIN/pipeline renderings of an executed
+/// `root` (left untouched when null, as for the oracle interpreter), and
+/// the governor accounting of `context` (left untouched when null).
+void FillRunProfile(Iterator* root, const QueryContext* context, ExecProfile* profile);
 
 /// Builds, runs, and drains a physical plan; fills `profile` if given.
 /// When `context` is set it is installed as the current query governor for

@@ -10,12 +10,14 @@
 
 #include <functional>
 
+#include "algebra/divide.hpp"
 #include "algebra/generator.hpp"
 #include "algebra/ops.hpp"
 #include "exec/batch.hpp"
 #include "exec/exec_basic.hpp"
 #include "exec/exec_divide.hpp"
 #include "exec/exec_great_divide.hpp"
+#include "exec/exec_join.hpp"
 #include "exec/scheduler.hpp"
 #include "opt/planner.hpp"
 #include "paper_fixtures.hpp"
@@ -120,9 +122,35 @@ TEST(BatchExecProperty, JoinsAcrossBatchSizes) {
   ExpectBatchSizeAgreement(LogicalOp::ThetaJoin(spj, LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}}),
                                            Expr::ColEqCol("p", "p2")),
                       catalog);
+  // × and a non-equi θ-join: the whole right side is one bucket, so output
+  // batches split inside a left row's run of right rows.
+  PlanPtr spj2 = LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}});
+  ExprPtr b_lt_p2 = Expr::Compare(CmpOp::kLt, Expr::Column("b"), Expr::Column("p2"));
+  ExpectBatchSizeAgreement(LogicalOp::Product(r1, spj2), catalog);
+  ExpectBatchSizeAgreement(LogicalOp::ThetaJoin(r1, spj2, b_lt_p2), catalog);
   // Semi and anti joins.
   ExpectBatchSizeAgreement(LogicalOp::SemiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
   ExpectBatchSizeAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog);
+}
+
+TEST(BatchExecProperty, SetContainmentJoinAcrossBatchSizes) {
+  // The set containment join has no logical operator; sweep the iterator
+  // directly. Open() drains both inputs by batches, and the left input is
+  // longer than every boundary size.
+  DataGen gen(0x5C7);
+  Relation r1 = Nest(gen.Dividend(/*groups=*/1100, /*domain=*/6, /*density=*/0.5), "b", "s1");
+  Relation r2 = Rename(
+      Nest(gen.GreatDivisor(/*groups=*/4, /*domain=*/6, /*density=*/0.3), "b", "s2"), {{"c", "g"}});
+  ASSERT_GT(r1.size(), 1025u);
+  const Relation expected = SetContainmentJoin(r1, "s1", r2, "s2");
+  ASSERT_FALSE(expected.empty());
+  for (size_t batch_rows : kBoundarySizes) {
+    ScopedBatchRows scoped(batch_rows);
+    SetContainmentJoinIterator it(std::make_unique<RelationScan>(BorrowRelation(r1)), "s1",
+                                  std::make_unique<RelationScan>(BorrowRelation(r2)), "s2");
+    EXPECT_EQ(ExecuteToRelation(it), expected) << "batch_rows=" << batch_rows;
+    EXPECT_EQ(it.rows_produced(), expected.size()) << "batch_rows=" << batch_rows;
+  }
 }
 
 TEST(BatchExecProperty, SetOperationsWithReorderedSchemas) {
@@ -276,17 +304,43 @@ TEST(BatchUnit, CatalogEncodingIsCachedAndInvalidatedByPut) {
   EXPECT_EQ(first->rows, 3u) << "old encoding stays valid for holders of the shared_ptr";
 }
 
-TEST(BatchUnit, AdapterWrapsTupleOnlyIterators) {
-  // CrossProductIterator has no batch override; the base adapter must batch
-  // its Next() stream without double counting.
+TEST(BatchUnit, CrossProductHonoursTheBatchContract) {
+  // Every NextBatch carries 1..GetBatchRows() active rows in left-order ×
+  // right-order, and rows_produced counts rows, not batches.
   Relation left = Relation::Parse("a", "1; 2; 3");
   Relation right = Relation::Parse("x", "7; 8");
-  ScopedBatchRows four(4);
-  CrossProductIterator it(std::make_unique<RelationScan>(BorrowRelation(left)),
-                          std::make_unique<RelationScan>(BorrowRelation(right)));
-  Relation result = ExecuteToRelation(it);
-  EXPECT_EQ(result.size(), 6u);
-  EXPECT_EQ(it.rows_produced(), 6u);
+  const std::vector<Tuple> expected =
+      Relation::Parse("a, x", "1,7; 1,8; 2,7; 2,8; 3,7; 3,8").tuples();
+  for (size_t batch_rows : {1, 3, 4, 1024}) {
+    ScopedBatchRows scoped(batch_rows);
+    CrossProductIterator it(std::make_unique<RelationScan>(BorrowRelation(left)),
+                            std::make_unique<RelationScan>(BorrowRelation(right)));
+    it.Open();
+    Batch batch;
+    std::vector<Tuple> rows;
+    Tuple t;
+    while (it.NextBatch(&batch)) {
+      EXPECT_GE(batch.ActiveRows(), 1u) << "batch_rows=" << batch_rows;
+      EXPECT_LE(batch.ActiveRows(), batch_rows);
+      for (size_t i = 0; i < batch.ActiveRows(); ++i) {
+        batch.ToTuple(batch.RowAt(i), &t);
+        rows.push_back(t);
+      }
+    }
+    it.Close();
+    EXPECT_EQ(rows, expected) << "batch_rows=" << batch_rows;
+    EXPECT_EQ(it.rows_produced(), expected.size()) << "batch_rows=" << batch_rows;
+  }
+
+  // An empty right side ends the stream without pulling the left child.
+  auto left_scan = std::make_unique<RelationScan>(BorrowRelation(left));
+  RelationScan* left_ptr = left_scan.get();
+  Relation empty(Schema::Parse("x"));
+  CrossProductIterator it(std::move(left_scan),
+                          std::make_unique<RelationScan>(BorrowRelation(empty)));
+  EXPECT_TRUE(ExecuteToRelation(it).empty());
+  EXPECT_EQ(it.rows_produced(), 0u);
+  EXPECT_EQ(left_ptr->rows_produced(), 0u);
 }
 
 TEST(BatchUnit, SelectionVectorSurvivesPassThroughOperators) {

@@ -55,7 +55,6 @@ struct ScopedDisarm {
 TEST(GovernorTest, CancelFromAnotherThreadDeliversCancelledAndPoolSurvives) {
   ScopedExecThreads threads(8);
   ScopedUncappedPipelines uncapped;  // force the parallel morsel path
-  ScopedMorselRows morsels(64);
   ScopedBatchRows batches(64);
   Session session = MakeDivisionSession({}, /*groups=*/4000, /*divisor=*/48);
 
@@ -155,20 +154,20 @@ TEST(GovernorTest, ProfileAndExplainAnalyzeReportGovernorAccounting) {
 
 TEST(GovernorTest, ScopedKnobGuardsRestoreOnUnwind) {
   const size_t threads0 = GetExecThreads();
-  const size_t morsel0 = GetMorselRows();
+  const size_t batch0 = GetBatchRows();
   ASSERT_FALSE(PipelinesUncapped());
   try {
     ScopedExecThreads threads(threads0 + 3);
-    ScopedMorselRows morsels(morsel0 + 7);
+    ScopedBatchRows batches(batch0 + 7);
     ScopedUncappedPipelines uncapped;
     EXPECT_EQ(GetExecThreads(), threads0 + 3);
-    EXPECT_EQ(GetMorselRows(), morsel0 + 7);
+    EXPECT_EQ(GetBatchRows(), batch0 + 7);
     EXPECT_TRUE(PipelinesUncapped());
     throw std::runtime_error("unwind");
   } catch (const std::runtime_error&) {
   }
   EXPECT_EQ(GetExecThreads(), threads0);
-  EXPECT_EQ(GetMorselRows(), morsel0);
+  EXPECT_EQ(GetBatchRows(), batch0);
   EXPECT_FALSE(PipelinesUncapped());
 }
 
@@ -211,7 +210,6 @@ TEST(FaultInjectionTest, NthHitSemantics) {
 // succeeds), which the assertions below allow.
 TEST(FaultInjectionTest, SweepAllSitesUnwindsCleanAcrossThreadCounts) {
   ScopedUncappedPipelines uncapped;  // exercise the parallel sinks
-  ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
 
   DataGen gen(11);
@@ -365,7 +363,6 @@ TEST(FaultInjectionTest, SnapshotPublishFaultLeavesPreviousCatalogLive) {
 
 TEST(FaultInjectionTest, AggregateSinkSiteFiresOnGroupByStatements) {
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
   for (size_t threads : {size_t{1}, size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

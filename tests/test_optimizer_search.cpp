@@ -95,7 +95,6 @@ TEST_F(OptimizerSearchTest, SearchOnOffDifferentialAcrossThreadCounts) {
   Optimizer searched(catalog_, search_on);
   Optimizer greedy(catalog_, search_off);
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(16);
   ScopedBatchRows batches(64);
   for (const PlanPtr& plan : Corpus()) {
     Relation reference = Evaluate(plan, catalog_);

@@ -1,11 +1,11 @@
 // Morsel-driven parallel execution (docs/parallel_execution.md) must be
 // indistinguishable from serial execution: these property tests run the
 // same physical plans at threads ∈ {1, 2, 3, 8} — with the estimate-driven
-// worker cap disabled and morsels shrunk so even the paper's fixtures split
-// into many chunks — and require relations identical to the oracle
-// (plan/evaluate) AND relations plus per-operator row accounting identical
-// to a default one-worker run. The chunk-ordered merge makes this exact,
-// not just set-equal: Relation equality is tuple-order-sensitive.
+// worker cap disabled, so morsels shrink to one batch and even the paper's
+// fixtures split into many chunks — and require relations identical to the
+// oracle (plan/evaluate) AND relations plus per-operator row accounting
+// identical to a default one-worker run. The chunk-ordered merge makes this
+// exact, not just set-equal: Relation equality is tuple-order-sensitive.
 
 #include <gtest/gtest.h>
 
@@ -32,11 +32,10 @@ const size_t kThreadCounts[] = {1, 2, 3, 8};
 
 /// Runs `plan` at one worker in the default configuration (the serial
 /// reference), then at every thread count with the pipeline path forced on
-/// (uncapped, small morsels). Relations must match the oracle and the
+/// (uncapped: one-batch morsels). Relations must match the oracle and the
 /// serial run exactly; plan-wide row accounting must match the serial run.
 void ExpectParallelAgreement(const PlanPtr& plan, const Catalog& catalog,
-                             const PlannerOptions& options = {}, size_t batch_rows = 128,
-                             size_t morsel_rows = 16) {
+                             const PlannerOptions& options = {}, size_t batch_rows = 128) {
   const Relation oracle = Evaluate(plan, catalog);
   Relation reference;
   ExecProfile reference_profile;
@@ -47,7 +46,6 @@ void ExpectParallelAgreement(const PlanPtr& plan, const Catalog& catalog,
   EXPECT_EQ(reference, oracle) << "serial run diverged from the oracle";
 
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(morsel_rows);
   ScopedBatchRows batches(batch_rows);
   for (size_t threads : kThreadCounts) {
     ScopedExecThreads scoped(threads);
@@ -92,7 +90,7 @@ TEST(ParallelExecProperty, DivisionAllAlgorithmsAllThreadCounts) {
             DivisionAlgorithm::kSortCount, DivisionAlgorithm::kNestedLoop}) {
         PlannerOptions options;
         options.division = algorithm;
-        ExpectParallelAgreement(plan, catalog, options, /*batch_rows=*/3, /*morsel_rows=*/4);
+        ExpectParallelAgreement(plan, catalog, options, /*batch_rows=*/3);
       }
     }
   }
@@ -106,7 +104,7 @@ TEST(ParallelExecProperty, GreatDivideBothAlgorithms) {
        {GreatDivideAlgorithm::kHash, GreatDivideAlgorithm::kGroup}) {
     PlannerOptions options;
     options.great_divide = algorithm;
-    ExpectParallelAgreement(plan, catalog, options, /*batch_rows=*/7, /*morsel_rows=*/8);
+    ExpectParallelAgreement(plan, catalog, options, /*batch_rows=*/7);
   }
 }
 
@@ -120,7 +118,7 @@ TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
   PlanPtr plan = LogicalOp::Divide(
       LogicalOp::Select(LogicalOp::Scan(catalog, "r1"), predicate),
       LogicalOp::Scan(catalog, "r2"));
-  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/5, /*morsel_rows=*/8);
+  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/5);
 }
 
 TEST(ParallelExecProperty, RenameChainStaysSplittable) {
@@ -130,7 +128,7 @@ TEST(ParallelExecProperty, RenameChainStaysSplittable) {
   PlanPtr plan = LogicalOp::NaturalJoin(
       LogicalOp::Scan(catalog, "r1"),
       LogicalOp::Rename(LogicalOp::Scan(catalog, "spj"), {{"s", "a"}, {"p", "x"}}));
-  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/3, /*morsel_rows=*/4);
+  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/3);
 }
 
 TEST(ParallelExecProperty, JoinsAllThreadCounts) {
@@ -140,11 +138,17 @@ TEST(ParallelExecProperty, JoinsAllThreadCounts) {
   ExpectParallelAgreement(
       LogicalOp::ThetaJoin(spj, LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}}),
                            Expr::ColEqCol("p", "p2")),
-      catalog, {}, /*batch_rows=*/3, /*morsel_rows=*/4);
+      catalog, {}, /*batch_rows=*/3);
+  // × and a non-equi θ-join: the right side is one bucket, so output
+  // batches split inside a left row's run of right rows.
+  PlanPtr spj2 = LogicalOp::Rename(spj, {{"s", "s2"}, {"p", "p2"}});
+  ExprPtr b_lt_p2 = Expr::Compare(CmpOp::kLt, Expr::Column("b"), Expr::Column("p2"));
+  ExpectParallelAgreement(LogicalOp::Product(r1, spj2), catalog, {}, /*batch_rows=*/3);
+  ExpectParallelAgreement(LogicalOp::ThetaJoin(r1, spj2, b_lt_p2), catalog, {}, /*batch_rows=*/3);
   ExpectParallelAgreement(LogicalOp::SemiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog, {},
-                          /*batch_rows=*/16, /*morsel_rows=*/8);
+                          /*batch_rows=*/16);
   ExpectParallelAgreement(LogicalOp::AntiJoin(r1, LogicalOp::Scan(catalog, "r2")), catalog, {},
-                          /*batch_rows=*/16, /*morsel_rows=*/8);
+                          /*batch_rows=*/16);
 }
 
 TEST(ParallelExecProperty, GroupByAggregates) {
@@ -156,11 +160,11 @@ TEST(ParallelExecProperty, GroupByAggregates) {
        {AggFunc::kMin, "b", "min_b"},
        {AggFunc::kMax, "b", "max_b"},
        {AggFunc::kAvg, "b", "avg_b"}});
-  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/9, /*morsel_rows=*/8);
+  ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/9);
   // Global aggregate: one output row regardless of chunking.
   ExpectParallelAgreement(
       LogicalOp::GroupBy(LogicalOp::Scan(catalog, "r1"), {}, {{AggFunc::kCount, "", "n"}}),
-      catalog, {}, /*batch_rows=*/9, /*morsel_rows=*/8);
+      catalog, {}, /*batch_rows=*/9);
 }
 
 TEST(ParallelExecProperty, SetOperationsAndHealyExpansion) {
@@ -177,7 +181,7 @@ TEST(ParallelExecProperty, SetOperationsAndHealyExpansion) {
   options.expand_divide = true;
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "fig1_r1"),
                                             LogicalOp::Scan(catalog, "fig1_r2")),
-                          catalog, options, /*batch_rows=*/3, /*morsel_rows=*/4);
+                          catalog, options, /*batch_rows=*/3);
 }
 
 TEST(ParallelExecProperty, EmptyInputsEverywhere) {
@@ -190,11 +194,11 @@ TEST(ParallelExecProperty, EmptyInputsEverywhere) {
   PlanPtr empty_b = LogicalOp::Scan(catalog, "empty_b");
   PlanPtr r1 = LogicalOp::Scan(catalog, "r1");
   PlanPtr r2 = LogicalOp::Scan(catalog, "r2");
-  ExpectParallelAgreement(LogicalOp::Divide(empty_ab, r2), catalog, {}, 2, 2);
-  ExpectParallelAgreement(LogicalOp::Divide(r1, empty_b), catalog, {}, 2, 2);
-  ExpectParallelAgreement(LogicalOp::NaturalJoin(r1, empty_ab), catalog, {}, 2, 2);
+  ExpectParallelAgreement(LogicalOp::Divide(empty_ab, r2), catalog, {}, 2);
+  ExpectParallelAgreement(LogicalOp::Divide(r1, empty_b), catalog, {}, 2);
+  ExpectParallelAgreement(LogicalOp::NaturalJoin(r1, empty_ab), catalog, {}, 2);
   ExpectParallelAgreement(LogicalOp::GroupBy(empty_ab, {"a"}, {{AggFunc::kCount, "", "n"}}),
-                          catalog, {}, 2, 2);
+                          catalog, {}, 2);
 }
 
 TEST(ParallelExecProperty, StringKeysAndSpillPath) {
@@ -204,7 +208,7 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
   catalog.Put("r2s", StringifyAttribute(gen.Divisor(5, 16), "b"));
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "r1s"),
                                             LogicalOp::Scan(catalog, "r2s")),
-                          catalog, {}, /*batch_rows=*/7, /*morsel_rows=*/8);
+                          catalog, {}, /*batch_rows=*/7);
 
   // 18 wide B columns force the divisor codec past 64 bits into
   // SmallByteKey spill keys; the chunk merges must translate those too.
@@ -224,7 +228,7 @@ TEST(ParallelExecProperty, StringKeysAndSpillPath) {
   catalog.Put("wide_divisor", Relation(wide.schema().Project(b_names), std::move(divisor_rows)));
   ExpectParallelAgreement(LogicalOp::Divide(LogicalOp::Scan(catalog, "wide"),
                                             LogicalOp::Scan(catalog, "wide_divisor")),
-                          catalog, {}, /*batch_rows=*/7, /*morsel_rows=*/8);
+                          catalog, {}, /*batch_rows=*/7);
 }
 
 TEST(ParallelExecProperty, RandomizedPlansAgainstOracle) {
@@ -239,7 +243,7 @@ TEST(ParallelExecProperty, RandomizedPlansAgainstOracle) {
                           Expr::ColCmp("a", CmpOp::kGe, V(gen.UniformInt(0, 3)))),
         LogicalOp::Scan(catalog, "r2"));
     ScopedBatchRows batches(static_cast<size_t>(gen.UniformInt(1, 32)));
-    ScopedMorselRows morsels(static_cast<size_t>(gen.UniformInt(2, 32)));
+    gen.UniformInt(2, 32);  // unused draw: keeps every later round's data stable
     ScopedExecThreads threads(kThreadCounts[round % 4]);
     EXPECT_EQ(ExecutePlan(plan, catalog), Evaluate(plan, catalog)) << "round " << round;
   }
@@ -269,7 +273,6 @@ TEST(ParallelExecUnit, ExplainReportsDegreeOfParallelism) {
   PlanPtr plan = LogicalOp::Divide(LogicalOp::Scan(catalog, "r1"),
                                    LogicalOp::Scan(catalog, "r2"));
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(8);
   ScopedBatchRows batches(8);
   ScopedExecThreads threads(4);
   ExecProfile profile;
@@ -365,13 +368,12 @@ TEST(ParallelExecUnit, NestedParallelForRunsInline) {
 }
 
 TEST(ParallelExecProperty, PartitionedGreatDivideWithNestedParallelDrains) {
-  // Large dividend + tiny morsels: the per-partition divisions want
+  // Large dividend + one-batch morsels: the per-partition divisions want
   // parallel drains while the partitions themselves occupy the pool.
   DataGen gen(0xD1B);
   Relation dividend = gen.Dividend(120, 24, 0.4);
   Relation divisor = gen.GreatDivisor(5, 24, 0.3);
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(8);
   ScopedBatchRows batches(16);
   Relation reference;
   {

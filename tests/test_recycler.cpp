@@ -54,7 +54,6 @@ std::shared_ptr<Database> MakeDatabase(size_t recycler_bytes) {
 
 TEST(RecyclerTest, OnOffDifferentialBitIdenticalAcrossThreadCounts) {
   ScopedUncappedPipelines uncapped;  // exercise the pipelined sinks
-  ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
   for (size_t threads : {size_t{1}, size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -257,7 +256,6 @@ struct ScopedDisarm {
 // fresh, and publishes), and behave identically at 1, 2, and 8 workers.
 TEST(RecyclerFaultTest, FaultedPublishNeverPoisonsTheCache) {
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
   for (const char* site : {"recycler.lookup", "recycler.publish"}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {

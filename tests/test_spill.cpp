@@ -105,7 +105,6 @@ TEST(SpillTest, StoreWithoutContextStaysInMemory) {
 
 TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
 
   DataGen gen(7);
@@ -166,7 +165,6 @@ TEST(SpillTest, ExplainAnalyzeReportsSpillCounters) {
 TEST(SpillTest, CancelMidSpillDeliversCancelledAndPoolSurvives) {
   ScopedExecThreads threads(8);
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(64);
   ScopedBatchRows batches(64);
   Session session = MakeDivisionSession(ForcedSpillOptions(), /*groups=*/4000,
                                         /*divisor=*/48);
@@ -288,7 +286,6 @@ TEST(SpillDifferentialTest, GreatDivideBitIdenticalWithSpillForced) {
 
 TEST(SpillFaultTest, SpillSitesUnwindIdenticallyAcrossThreadCounts) {
   ScopedUncappedPipelines uncapped;
-  ScopedMorselRows morsels(32);
   ScopedBatchRows batches(32);
 
   DataGen gen(11);
