@@ -22,8 +22,10 @@
 #                                HashDivision/1024/16 overhead plus
 #                                Session::Cancel latency on an in-flight
 #                                parallel DIVIDE BY, spill-forced vs
-#                                in-memory execution of the same point, and
-#                                admission-controller latencies
+#                                in-memory execution of the same point
+#                                (with its spill partition count), and
+#                                admission-controller latencies, stamped
+#                                with num_cpus and the worker count
 #     BENCH_recycler.json        cross-query artifact recycler (docs/
 #                                recycler.md): recycling-off vs warm-hit vs
 #                                cold-publish per workload, with the
@@ -231,9 +233,17 @@ def first_spill(prefix):
 
 in_memory = first_spill("BM_HashDivision/in_memory")
 spill_forced = first_spill("BM_HashDivision/spill_forced")
+with open(os.path.join(out_dir, ".spill_raw.json")) as f:
+    spill_doc = json.load(f)
+spill_partitions = next(
+    (b.get("spill_partitions") for b in spill_doc.get("benchmarks", [])
+     if b["name"].startswith("BM_HashDivision/spill_forced")
+     and b.get("run_type", "iteration") == "iteration"), None)
 admission_fast = first_spill("BM_AdmissionUncontended")
 admission_handoff = first_spill("BM_AdmissionQueuedHandoff")
 robustness = {
+    "num_cpus": spill_doc.get("context", {}).get("num_cpus"),
+    "threads": int(threads_n),
     "hash_division_1024_16": {
         "ungoverned_us": round(ungoverned, 3) if ungoverned else None,
         "governed_us": round(governed, 3) if governed else None,
@@ -246,6 +256,7 @@ robustness = {
         "spill_forced_us": round(spill_forced, 3) if spill_forced else None,
         "slowdown": round(spill_forced / in_memory, 3)
                     if spill_forced and in_memory else None,
+        "spill_partitions": spill_partitions,
     },
     "admission_uncontended_us": round(admission_fast, 3) if admission_fast else None,
     "admission_queued_handoff_us": round(admission_handoff, 3)

@@ -75,7 +75,10 @@ struct SessionOptions {
   /// outstanding build-state account crosses it, the id-column stores
   /// flush to a per-query temp file instead of growing, so the statement
   /// degrades to out-of-core instead of tripping the hard budget. Zero =
-  /// never spill. Results are bit-identical to the in-memory path.
+  /// never spill. Results are bit-identical to the in-memory path. Leave
+  /// headroom below memory_budget_bytes for charges that never spill: the
+  /// catalog encoding of a table on its first governed touch, and the
+  /// per-chunk probe columns of a parallel build.
   size_t spill_watermark_bytes = 0;
   /// Directory for spill temp files (empty = $TMPDIR or /tmp). Files are
   /// unlinked at creation; nothing survives the statement.

@@ -1,5 +1,6 @@
 #include "exec/key_codec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace quotient {
@@ -37,15 +38,23 @@ void KeyCodec::AppendTranslated(const KeyCodec& part) {
   // translated id is always a real dense id, so it can never collide.
   std::vector<std::vector<uint32_t>> xlat(nc);
   for (size_t c = 0; c < nc; ++c) xlat[c].assign(part.dicts_[c].size(), ValueDict::kNotFound);
-  scratch_.resize(nc);
-  for (size_t r = 0; r < part.num_rows_; ++r) {
-    const uint32_t* src = part.ids_.Row(r);
-    for (size_t c = 0; c < nc; ++c) {
-      uint32_t& slot = xlat[c][src[c]];
-      if (slot == ValueDict::kNotFound) slot = dicts_[c].GetOrAdd(part.dicts_[c].At(src[c]));
-      scratch_[c] = slot;
+  // Translate a block of rows, then append it whole: past the spill
+  // watermark every Append is one partition, one charge and one flush
+  // check, so appending per row would write one-row runs.
+  constexpr size_t kBlockRows = 1024;
+  for (size_t first = 0; first < part.num_rows_; first += kBlockRows) {
+    size_t n = std::min(kBlockRows, part.num_rows_ - first);
+    scratch_.resize(n * nc);
+    uint32_t* dst = scratch_.data();
+    for (size_t r = first; r < first + n; ++r, dst += nc) {
+      const uint32_t* src = part.ids_.Row(r);
+      for (size_t c = 0; c < nc; ++c) {
+        uint32_t& slot = xlat[c][src[c]];
+        if (slot == ValueDict::kNotFound) slot = dicts_[c].GetOrAdd(part.dicts_[c].At(src[c]));
+        dst[c] = slot;
+      }
     }
-    ids_.Append(scratch_.data(), 1);
+    ids_.Append(scratch_.data(), n);
   }
   num_rows_ += part.num_rows_;
 }

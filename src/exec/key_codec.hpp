@@ -324,6 +324,8 @@ class KeyCodec {
   /// id spaces through lazy per-column translation arrays. Values are
   /// interned on first sight in part-row order, so merging chunks in
   /// chunk-index order reproduces the serial scan's id assignment exactly.
+  /// Rows are appended in blocks of up to 1024, so past the spill watermark
+  /// each block (not each row) becomes one spill partition.
   void AppendTranslated(const KeyCodec& part);
 
   /// Packs pre-resolved per-column ids into a flat key. Valid after Seal()
@@ -406,7 +408,7 @@ class KeyCodec {
   // Row-major build-row ids (num_cols() per row) in a store that flushes to
   // the current query's spill file past the governor's soft watermark.
   SpilledU32Store ids_;
-  std::vector<uint32_t> scratch_;  // one row of ids, assembled before Append
+  std::vector<uint32_t> scratch_;  // ids of one row (or merged block) before Append
   std::vector<uint32_t> shifts_;   // per-column bit offset in the packed key
   std::vector<uint64_t> masks_;    // per-column id mask in the packed key
   size_t num_rows_ = 0;

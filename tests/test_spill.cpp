@@ -1,9 +1,10 @@
 // Spill-to-disk and admission-control tests (docs/robustness.md): the
 // SpilledU32Store unit contract, a differential corpus with spilling forced
 // in every blocking build (results must be bit-identical to the in-memory
-// path at threads 1 and 8), fault injection at the four spill.* sites,
-// cancellation mid-spill, QUOTIENT_FAULT spec validation, and the
-// database-wide admission controller's queue/timeout/rejection behavior.
+// path at threads 1, 2 and 8, with one partition per appended block, not per
+// row), fault injection at the four spill.* sites, cancellation mid-spill,
+// QUOTIENT_FAULT spec validation, and the database-wide admission
+// controller's queue/timeout/rejection behavior.
 
 #include <gtest/gtest.h>
 
@@ -128,7 +129,7 @@ TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
     }
   }
 
-  for (size_t threads : {size_t{1}, size_t{8}}) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedExecThreads scoped_threads(threads);
     Session spilled(ForcedSpillOptions());
@@ -137,9 +138,17 @@ TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
     Result<QueryResult> result = spilled.Execute(kDivideSql);
     ASSERT_TRUE(result.ok()) << result.error();
     EXPECT_EQ(result.value().rows, expected);
-    EXPECT_GT(result.value().profile.spill_partitions, 0u)
+    const ExecProfile& profile = result.value().profile;
+    EXPECT_GT(profile.spill_partitions, 0u)
         << "watermark=1 never spilled: the forced-spill path was not taken";
-    EXPECT_GT(result.value().profile.spill_bytes_written, 0u);
+    EXPECT_GT(profile.spill_bytes_written, 0u);
+    // One partition per appended block, never per row. At 32-row batches
+    // the dividend's rows pass through two flushing stores (the a-codec ids
+    // and the b probe column), one partition per 32-row batch each: about
+    // rows/16. A parallel merge adds one partition per 1024-row block. A
+    // merge that appended row by row would write one partition per row.
+    EXPECT_LT(profile.spill_partitions, dividend.size() / 8)
+        << "dividend rows: " << dividend.size();
   }
 }
 
