@@ -41,12 +41,13 @@ void FoldBatch(const Batch& batch, const std::vector<uint64_t>& keys64,
   }
 }
 
-/// Grouping sink for RunPipeline: chunks aggregate into local GroupStates,
-/// and the merge re-interns each chunk's groups (in local first-seen order,
-/// chunks in index order — i.e. global row order) into the target state,
-/// AggMerge-ing the partial accumulators. Refuses to parallelize when a
-/// sum/avg argument is floating point, where re-associated addition could
-/// diverge from the serial fold.
+/// Grouping sink for RunPipeline: chunk 0 folds straight into the target
+/// GroupState; later chunks aggregate into local GroupStates, and the merge
+/// re-interns each chunk's groups (in local first-seen order, chunks in
+/// index order — i.e. global row order) into the target state, AggMerge-ing
+/// the partial accumulators. Refuses to parallelize when a sum/avg argument
+/// is floating point, where re-associated addition could diverge from the
+/// serial fold.
 class AggregateSink : public PipelineSink {
  public:
   AggregateSink(GroupState* target, const std::vector<AggSpec>* aggs,
@@ -56,44 +57,39 @@ class AggregateSink : public PipelineSink {
         aggs_(aggs),
         group_indices_(group_indices),
         arg_indices_(arg_indices),
-        exact_(exact),
-        serial_keyer_(&target->encoder, group_indices->size()) {}
+        exact_(exact) {}
 
   bool AllowParallel() const override { return exact_; }
 
-  void ConsumeSerial(const Batch& batch) override {
-    GovernorFaultPoint("sink.aggregate");
-    const size_t width = (group_indices_->size() + aggs_->size()) * 8;
-    // The per-batch key scratch is transient; only group-state growth is
-    // retained, so only that delta stays charged after the fold.
-    ScopedCharge transient;
-    transient.Add(batch.ActiveRows() * width);
-    serial_keyer_.Keys(batch, group_indices_, &keys64_, &keys_spill_);
-    size_t before = target_->num_groups();
-    FoldBatch(batch, keys64_, keys_spill_, *aggs_, *arg_indices_, target_);
-    GovernorCharge((target_->num_groups() - before) * width);
-  }
-
-  std::unique_ptr<SinkChunk> MakeChunk() override {
-    return std::make_unique<Chunk>(group_indices_->size());
+  std::unique_ptr<SinkChunk> MakeChunk(size_t index) override {
+    return std::make_unique<Chunk>(index == 0 ? target_ : nullptr, group_indices_->size());
   }
 
   void Consume(SinkChunk& chunk, const Batch& batch) override {
     GovernorFaultPoint("sink.aggregate");
     Chunk& c = static_cast<Chunk&>(chunk);
     const size_t width = (group_indices_->size() + aggs_->size()) * 8;
+    // The per-batch key scratch is transient; only group-state growth is
+    // retained, so only that delta stays charged after the fold.
     ScopedCharge transient;
     transient.Add(batch.ActiveRows() * width);
     c.keyer.Keys(batch, group_indices_, &c.keys64, &c.keys_spill);
-    size_t before = c.part.num_groups();
-    FoldBatch(batch, c.keys64, c.keys_spill, *aggs_, *arg_indices_, &c.part);
-    // Chunk-local partials live until Merge folds them into the target;
-    // their charge is scoped to the chunk and released there.
-    c.part_charge.Add((c.part.num_groups() - before) * width);
+    size_t before = c.groups->num_groups();
+    FoldBatch(batch, c.keys64, c.keys_spill, *aggs_, *arg_indices_, c.groups);
+    size_t grown = (c.groups->num_groups() - before) * width;
+    // Chunk 0's groups are the final state, charged for the statement's
+    // lifetime; a later chunk's partials live until Merge folds them into
+    // the target, so their charge is scoped to the chunk and released there.
+    if (c.groups == target_) {
+      GovernorCharge(grown);
+    } else {
+      c.part_charge.Add(grown);
+    }
   }
 
   void Merge(SinkChunk& chunk) override {
     Chunk& c = static_cast<Chunk&>(chunk);
+    if (c.groups == target_) return;
     const size_t na = aggs_->size();
     const size_t nc = group_indices_->size();
     // Both encoders are built over the same group columns, so they always
@@ -143,8 +139,14 @@ class AggregateSink : public PipelineSink {
 
  private:
   struct Chunk : SinkChunk {
-    explicit Chunk(size_t group_cols) : part(group_cols), keyer(&part.encoder, group_cols) {}
+    // Chunk 0 passes the target and folds into it; later chunks fold into
+    // their own `part`.
+    Chunk(GroupState* target, size_t group_cols)
+        : part(target != nullptr ? 0 : group_cols),
+          groups(target != nullptr ? target : &part),
+          keyer(&groups->encoder, group_cols) {}
     GroupState part;
+    GroupState* groups;
     BatchIncrementalKeyer keyer;
     std::vector<uint64_t> keys64;
     std::vector<SmallByteKey> keys_spill;
@@ -156,9 +158,6 @@ class AggregateSink : public PipelineSink {
   const std::vector<size_t>* group_indices_;
   const std::vector<size_t>* arg_indices_;
   bool exact_;
-  BatchIncrementalKeyer serial_keyer_;
-  std::vector<uint64_t> keys64_;
-  std::vector<SmallByteKey> keys_spill_;
 };
 
 }  // namespace

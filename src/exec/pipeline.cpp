@@ -22,26 +22,6 @@ std::atomic<bool>& UncappedFlag() {
 /// pipelines are uncapped.
 size_t MorselFloor() { return PipelinesUncapped() ? GetBatchRows() : 4 * GetBatchRows(); }
 
-/// Approximate payload of a batch for memory-budget charging: 8 bytes per
-/// active cell for columnar batches, a flat 16 per row for row views (the
-/// governor's accounting is deliberately coarse — see docs/robustness.md).
-size_t ApproxBatchBytes(const Batch& batch) {
-  size_t rows = batch.ActiveRows();
-  return batch.row_mode() ? rows * 16 : rows * batch.num_columns() * 8;
-}
-
-PipelineStats DrainSerial(Iterator& child, PipelineSink& sink) {
-  PipelineStats stats;
-  Batch batch;
-  while (child.NextBatch(&batch)) {
-    GovernorPoll();
-    GovernorFaultPoint("pipeline.drain");
-    stats.rows += batch.ActiveRows();
-    sink.ConsumeSerial(batch);
-  }
-  return stats;
-}
-
 /// A pipeline source the executor can split into row-span morsels: a
 /// RelationScan under any chain of pass-through ρ operators. `chain` holds
 /// every bypassed operator (child down to the scan) for row-count credit.
@@ -110,31 +90,36 @@ PipelineChoice ChoosePipeline(const Iterator& child) {
 }
 
 PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
-  bool parallel = GetExecThreads() > 1 && !OnWorkerThread() && sink.AllowParallel();
-  if (!parallel) return DrainSerial(child, sink);
-  PipelineChoice choice = ChoosePipeline(child);
-  size_t threads = GetExecThreads();
-  if (choice.workers > 0) threads = std::min(threads, choice.workers);
-  if (threads <= 1) return DrainSerial(child, sink);
-
-  SplitSource source = FindSplittableSource(child);
+  PipelineStats stats;
+  SplitSource source;
+  if (GetExecThreads() > 1 && !OnWorkerThread() && sink.AllowParallel()) {
+    source = FindSplittableSource(child);
+  }
+  size_t chunk_rows = 0;
   if (source.scan != nullptr) {
-    // Morsel-driven: contiguous id spans of the scan, read straight from
-    // storage (TableEncoding id columns / relation rows are immutable), one
-    // partial sink state per chunk.
-    size_t rows = source.scan->TotalRows();
-    size_t chunk_rows = std::max(choice.morsel_rows, ChunkRowsFor(rows, threads));
-    size_t chunks = (rows + chunk_rows - 1) / chunk_rows;
-    if (chunks <= 1) return DrainSerial(child, sink);
+    PipelineChoice choice = ChoosePipeline(child);
+    size_t threads = GetExecThreads();
+    if (choice.workers > 0) threads = std::min(threads, choice.workers);
+    if (threads > 1) {
+      size_t rows = source.scan->TotalRows();
+      chunk_rows = std::max(choice.morsel_rows, ChunkRowsFor(rows, threads));
+      stats.chunks = std::max<size_t>(1, (rows + chunk_rows - 1) / chunk_rows);
+      stats.dop = std::min(threads, stats.chunks);
+    }
+  }
 
-    std::vector<std::unique_ptr<SinkChunk>> states;
-    states.reserve(chunks);
-    for (size_t i = 0; i < chunks; ++i) states.push_back(sink.MakeChunk());
+  std::vector<std::unique_ptr<SinkChunk>> states;
+  states.reserve(stats.chunks);
+  for (size_t i = 0; i < stats.chunks; ++i) states.push_back(sink.MakeChunk(i));
+  if (stats.chunks > 1) {
+    // Morsel-driven: contiguous id spans of the scan, read straight from
+    // storage (TableEncoding id columns / relation rows are immutable).
+    stats.rows = source.scan->TotalRows();
     const size_t batch_rows = GetBatchRows();
     RelationScan* scan = source.scan;
-    ParallelFor(chunks, [&](size_t ci) {
+    ParallelFor(stats.chunks, [&](size_t ci) {
       size_t begin = ci * chunk_rows;
-      size_t end = std::min(rows, begin + chunk_rows);
+      size_t end = std::min(stats.rows, begin + chunk_rows);
       Batch batch;
       for (size_t at = begin; at < end; at += batch_rows) {
         GovernorPoll();
@@ -143,121 +128,57 @@ PipelineStats RunPipeline(Iterator& child, PipelineSink& sink) {
         sink.Consume(*states[ci], batch);
       }
     });
-    for (std::unique_ptr<SinkChunk>& state : states) {
-      GovernorPoll();
-      GovernorFaultPoint("pipeline.merge");
-      sink.Merge(*state);
-    }
     // The span reads bypassed the chain's NextBatch methods; credit every
     // bypassed operator with the rows it forwarded so EXPLAIN totals match
-    // the one-chunk drain exactly.
-    for (Iterator* op : source.chain) op->AddProducedRows(rows);
-
-    PipelineStats stats;
-    stats.rows = rows;
-    stats.chunks = chunks;
-    stats.dop = std::min(threads, chunks);
-    return stats;
-  }
-
-  // Non-splittable source (a filter, join probe, or another breaker's
-  // result stream feeds this pipeline): drain it serially into buffered
-  // batches, then parallelize the sink's batch kernels over contiguous
-  // chunk groups of them. The stream is buffered in memory for the drain's
-  // duration; this engine's inputs are in-memory relations, so the
-  // transient copy is bounded by the input itself.
-  std::vector<Batch> buffered;
-  // Buffering is the one place the executor materializes a whole input
-  // stream; charge it — transiently, released when the buffered copy dies
-  // with this drain — so runaway intermediate results trip the budget
-  // without permanently inflating the statement's account.
-  ScopedCharge buffered_charge;
-  size_t total = 0;
-  {
+    // the streamed drain exactly.
+    for (Iterator* op : source.chain) op->AddProducedRows(stats.rows);
+  } else {
+    // Streamed: any other source (a filter, a join probe, another
+    // breaker's output), or a scan not worth splitting, feeds chunk 0.
     Batch batch;
     while (child.NextBatch(&batch)) {
       GovernorPoll();
       GovernorFaultPoint("pipeline.drain");
-      buffered_charge.Add(ApproxBatchBytes(batch));
-      total += batch.ActiveRows();
-      buffered.push_back(std::move(batch));
-      batch = Batch();
+      stats.rows += batch.ActiveRows();
+      sink.Consume(*states[0], batch);
     }
   }
-  PipelineStats stats;
-  stats.rows = total;
-  if (total == 0) return stats;
-
-  size_t chunk_rows = std::max(choice.morsel_rows, ChunkRowsFor(total, threads));
-  std::vector<std::pair<size_t, size_t>> groups;  // [first, last) batch index
-  size_t group_begin = 0;
-  size_t group_rows = 0;
-  for (size_t i = 0; i < buffered.size(); ++i) {
-    group_rows += buffered[i].ActiveRows();
-    if (group_rows >= chunk_rows) {
-      groups.emplace_back(group_begin, i + 1);
-      group_begin = i + 1;
-      group_rows = 0;
-    }
-  }
-  if (group_begin < buffered.size()) groups.emplace_back(group_begin, buffered.size());
-
-  if (groups.size() <= 1) {
-    for (const Batch& batch : buffered) sink.ConsumeSerial(batch);
-    return stats;
-  }
-  std::vector<std::unique_ptr<SinkChunk>> states;
-  states.reserve(groups.size());
-  for (size_t i = 0; i < groups.size(); ++i) states.push_back(sink.MakeChunk());
-  ParallelFor(groups.size(), [&](size_t ci) {
-    for (size_t i = groups[ci].first; i < groups[ci].second; ++i) {
-      GovernorPoll();
-      GovernorFaultPoint("pipeline.morsel");
-      sink.Consume(*states[ci], buffered[i]);
-    }
-  });
   for (std::unique_ptr<SinkChunk>& state : states) {
     GovernorPoll();
     GovernorFaultPoint("pipeline.merge");
     sink.Merge(*state);
   }
-  stats.chunks = groups.size();
-  stats.dop = std::min(threads, groups.size());
   return stats;
 }
 
 // ---------------------------------------------------------------- sinks
 
 struct CodecAppendSink::Chunk : SinkChunk {
-  std::vector<KeyCodec> parts;
+  std::vector<KeyCodec> parts;  // chunk-local codecs; empty for chunk 0
   std::vector<BatchCodecAppender> appenders;
 };
 
 void CodecAppendSink::AddTarget(KeyCodec* target, const std::vector<size_t>* indices) {
   targets_.push_back(target);
   indices_.push_back(indices);
-  serial_.emplace_back(target, indices);
 }
 
-void CodecAppendSink::ConsumeSerial(const Batch& batch) {
-  GovernorFaultPoint("sink.codec_append");
-  // The target codecs' row stores charge (and spill) their own bytes.
-  for (BatchCodecAppender& appender : serial_) appender.Append(batch);
-}
-
-std::unique_ptr<SinkChunk> CodecAppendSink::MakeChunk() {
+std::unique_ptr<SinkChunk> CodecAppendSink::MakeChunk(size_t index) {
   auto chunk = std::make_unique<Chunk>();
-  chunk->parts.reserve(targets_.size());
+  if (index > 0) {
+    chunk->parts.reserve(targets_.size());
+    for (const std::vector<size_t>* indices : indices_) chunk->parts.emplace_back(indices->size());
+  }
   chunk->appenders.reserve(targets_.size());
-  for (const std::vector<size_t>* indices : indices_) chunk->parts.emplace_back(indices->size());
   for (size_t i = 0; i < targets_.size(); ++i) {
-    chunk->appenders.emplace_back(&chunk->parts[i], indices_[i]);
+    chunk->appenders.emplace_back(index == 0 ? targets_[i] : &chunk->parts[i], indices_[i]);
   }
   return chunk;
 }
 
 void CodecAppendSink::Consume(SinkChunk& chunk, const Batch& batch) {
   GovernorFaultPoint("sink.codec_append");
+  // Every codec's row store charges (and spills) its own bytes.
   for (BatchCodecAppender& appender : static_cast<Chunk&>(chunk).appenders) {
     appender.Append(batch);
   }
@@ -265,7 +186,7 @@ void CodecAppendSink::Consume(SinkChunk& chunk, const Batch& batch) {
 
 void CodecAppendSink::Merge(SinkChunk& chunk) {
   Chunk& c = static_cast<Chunk&>(chunk);
-  for (size_t i = 0; i < targets_.size(); ++i) {
+  for (size_t i = 0; i < c.parts.size(); ++i) {
     targets_[i]->AppendTranslated(c.parts[i]);
     // The chunk-local rows now live (charged) in the target codec; stop
     // double-counting the transient copy.
@@ -274,11 +195,18 @@ void CodecAppendSink::Merge(SinkChunk& chunk) {
 }
 
 struct ProbeAppendSink::Chunk : SinkChunk {
-  Chunk(size_t a_cols, const std::vector<size_t>* a_indices, const KeyNumbering* numbering,
-        const KeyCodec* b_codec, const std::vector<size_t>* b_indices)
-      : a_part(a_cols), appender(&a_part, a_indices) {
+  // Chunk 0 passes the sink's a-codec and appends straight into it and into
+  // the sink's row_b; later chunks (a_target == nullptr) fill a_part and a
+  // local row_b that Merge appends in chunk order.
+  Chunk(KeyCodec* a_target, size_t a_cols, const std::vector<size_t>* a_indices,
+        const KeyNumbering* numbering, const KeyCodec* b_codec,
+        const std::vector<size_t>* b_indices)
+      : direct(a_target != nullptr),
+        a_part(direct ? 0 : a_cols),
+        appender(direct ? a_target : &a_part, a_indices) {
     probe.Bind(numbering, b_codec, b_indices);
   }
+  bool direct;
   KeyCodec a_part;
   BatchCodecAppender appender;
   BatchKeyProbe probe;
@@ -295,35 +223,31 @@ ProbeAppendSink::ProbeAppendSink(KeyCodec* a_codec, const std::vector<size_t>* a
       numbering_(numbering),
       b_codec_(b_codec),
       b_indices_(b_indices),
-      row_b_(row_b),
-      serial_append_(a_codec, a_indices) {
-  serial_probe_.Bind(numbering, b_codec, b_indices);
-}
+      row_b_(row_b) {}
 
-void ProbeAppendSink::ConsumeSerial(const Batch& batch) {
-  GovernorFaultPoint("sink.probe_append");
-  // The a-codec's store and row_b_ itself charge (and spill) their bytes.
-  serial_append_.Append(batch);
-  scratch_.clear();
-  serial_probe_.Resolve(batch, &scratch_);
-  row_b_->Append(scratch_.data(), scratch_.size());
-}
-
-std::unique_ptr<SinkChunk> ProbeAppendSink::MakeChunk() {
-  return std::make_unique<Chunk>(a_indices_->size(), a_indices_, numbering_, b_codec_,
-                                 b_indices_);
+std::unique_ptr<SinkChunk> ProbeAppendSink::MakeChunk(size_t index) {
+  return std::make_unique<Chunk>(index == 0 ? a_codec_ : nullptr, a_indices_->size(),
+                                 a_indices_, numbering_, b_codec_, b_indices_);
 }
 
 void ProbeAppendSink::Consume(SinkChunk& chunk, const Batch& batch) {
   GovernorFaultPoint("sink.probe_append");
   Chunk& c = static_cast<Chunk&>(chunk);
   c.appender.Append(batch);
-  c.row_b_charge.Add(batch.ActiveRows() * sizeof(uint32_t));
+  if (!c.direct) {
+    c.row_b_charge.Add(batch.ActiveRows() * sizeof(uint32_t));
+    c.probe.Resolve(batch, &c.row_b);
+    return;
+  }
+  // The a-codec's store and row_b_ itself charge (and spill) their bytes.
+  c.row_b.clear();
   c.probe.Resolve(batch, &c.row_b);
+  row_b_->Append(c.row_b.data(), c.row_b.size());
 }
 
 void ProbeAppendSink::Merge(SinkChunk& chunk) {
   Chunk& c = static_cast<Chunk&>(chunk);
+  if (c.direct) return;
   a_codec_->AppendTranslated(c.a_part);
   c.a_part.ReleaseRowCharges();
   row_b_->Append(c.row_b.data(), c.row_b.size());
@@ -353,46 +277,42 @@ void MaterializeRows(const Batch& batch, const std::vector<size_t>* proj,
 }  // namespace
 
 struct JoinBuildSink::Chunk : SinkChunk {
-  Chunk(size_t key_cols, const std::vector<size_t>* key_indices)
-      : part(key_cols), appender(&part, key_indices) {}
+  // Chunk 0 passes the sink's codec and rows and appends straight into
+  // them; later chunks (codec == nullptr) fill part and their own rows.
+  Chunk(KeyCodec* codec, std::vector<Tuple>* rows_out, size_t key_cols,
+        const std::vector<size_t>* key_indices)
+      : part(codec != nullptr ? 0 : key_cols),
+        appender(codec != nullptr ? codec : &part, key_indices),
+        out(rows_out != nullptr ? rows_out : &rows) {}
   KeyCodec part;
   BatchCodecAppender appender;
   std::vector<Tuple> rows;
+  std::vector<Tuple>* out;
 };
 
 JoinBuildSink::JoinBuildSink(KeyCodec* codec, const std::vector<size_t>* key_indices,
                              const std::vector<size_t>* proj, std::vector<Tuple>* rows)
-    : codec_(codec),
-      key_indices_(key_indices),
-      proj_(proj),
-      rows_(rows),
-      serial_(codec, key_indices) {}
+    : codec_(codec), key_indices_(key_indices), proj_(proj), rows_(rows) {}
 
-void JoinBuildSink::ConsumeSerial(const Batch& batch) {
+std::unique_ptr<SinkChunk> JoinBuildSink::MakeChunk(size_t index) {
+  if (index == 0) return std::make_unique<Chunk>(codec_, rows_, 0, key_indices_);
+  return std::make_unique<Chunk>(nullptr, nullptr, key_indices_->size(), key_indices_);
+}
+
+void JoinBuildSink::Consume(SinkChunk& chunk, const Batch& batch) {
   GovernorFaultPoint("sink.join_build");
   // Key bytes are charged by the codec's row store; charge the materialized
   // build tuples here (retained for the statement's lifetime).
   size_t row_cols = proj_ != nullptr ? proj_->size() : batch.num_columns();
   GovernorCharge(batch.ActiveRows() * (row_cols + 2) * 8);
-  serial_.Append(batch);
-  MaterializeRows(batch, proj_, rows_);
-}
-
-std::unique_ptr<SinkChunk> JoinBuildSink::MakeChunk() {
-  return std::make_unique<Chunk>(key_indices_->size(), key_indices_);
-}
-
-void JoinBuildSink::Consume(SinkChunk& chunk, const Batch& batch) {
-  GovernorFaultPoint("sink.join_build");
-  size_t row_cols = proj_ != nullptr ? proj_->size() : batch.num_columns();
-  GovernorCharge(batch.ActiveRows() * (row_cols + 2) * 8);
   Chunk& c = static_cast<Chunk&>(chunk);
   c.appender.Append(batch);
-  MaterializeRows(batch, proj_, &c.rows);
+  MaterializeRows(batch, proj_, c.out);
 }
 
 void JoinBuildSink::Merge(SinkChunk& chunk) {
   Chunk& c = static_cast<Chunk&>(chunk);
+  if (c.out == rows_) return;
   codec_->AppendTranslated(c.part);
   c.part.ReleaseRowCharges();
   rows_->reserve(rows_->size() + c.rows.size());

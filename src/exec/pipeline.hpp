@@ -6,12 +6,12 @@
 // streams a blocking operator fully drains during Open(): hash-table
 // builds, division codec drains, grouping, set-operation build sides. Each
 // such drain is "source → streaming ops → sink", and RunPipeline is the
-// only way the executor runs one. It is morsel-driven: the source's rows
-// are split into contiguous chunks of id spans, a worker pool
-// (exec/scheduler.hpp) runs the batch kernels per chunk into per-chunk
-// partial sink states, and the partials are merged in chunk-index order.
-// Serial execution is the one-chunk case: the batches fold straight into
-// the sink's final state.
+// only way the executor runs one. Every drain is a set of sink chunks
+// merged in chunk-index order. Chunk 0 writes straight into the sink's
+// final state; chunks 1..N hold partial states. A scan source is split into
+// contiguous chunks of id spans run by a worker pool (exec/scheduler.hpp);
+// any other source streams through NextBatch as chunk 0 alone, which is
+// also the serial case.
 //
 // The chunk-ordered merge is what makes dop N bit-identical to dop 1 — and
 // both to the oracles (algebra/, plan/evaluate, sql/interp): iterating
@@ -69,47 +69,43 @@ struct PipelineChoice {
 /// divisor serially while morsel-parallelizing a large dividend.
 PipelineChoice ChoosePipeline(const Iterator& child);
 
-/// Partial state of one chunk of a parallel pipeline. Chunks are created
-/// up front, written by exactly one worker task, and merged in chunk-index
-/// order on the owning thread.
+/// One chunk of a pipeline drain. Chunks are created up front, written by
+/// exactly one task, and merged in chunk-index order on the owning thread.
 class SinkChunk {
  public:
   virtual ~SinkChunk() = default;
 };
 
-/// Where a pipeline's rows land: a blocking operator's build state. A sink
-/// implements the one-chunk case and the multi-chunk case —
-///   ConsumeSerial : fold batches straight into the final state (one-chunk
-///                   runs pay zero partial/merge overhead);
-///   MakeChunk / Consume / Merge : per-chunk partial states for parallel
-///                   runs; Consume is called concurrently on distinct
-///                   chunks and must only touch the chunk plus immutable
-///                   shared state; Merge runs serially in chunk order.
+/// Where a pipeline's rows land: a blocking operator's build state.
+///   MakeChunk(index) : chunk 0 is bound to the final state — it appends
+///                      and charges there directly, and its Merge is a
+///                      no-op; chunks 1..N hold partial states.
+///   Consume          : called concurrently on distinct chunks; touches only
+///                      the chunk (chunk 0: the final state) plus immutable
+///                      shared state.
+///   Merge            : runs serially in chunk-index order.
 class PipelineSink {
  public:
   virtual ~PipelineSink() = default;
-  virtual void ConsumeSerial(const Batch& batch) = 0;
-  virtual std::unique_ptr<SinkChunk> MakeChunk() = 0;
+  virtual std::unique_ptr<SinkChunk> MakeChunk(size_t index) = 0;
   virtual void Consume(SinkChunk& chunk, const Batch& batch) = 0;
   virtual void Merge(SinkChunk& chunk) = 0;
   /// Sinks whose merge cannot reproduce the serial fold exactly (e.g.
-  /// floating-point sums) return false to force the serial discipline.
+  /// floating-point sums) return false to run every drain as chunk 0 alone.
   virtual bool AllowParallel() const { return true; }
 };
 
 /// What RunPipeline did, for EXPLAIN accounting.
 struct PipelineStats {
   size_t rows = 0;    // active rows the sink consumed
-  size_t chunks = 1;  // partial states used (1 = serial)
+  size_t chunks = 1;  // sink chunks used (1 = chunk 0 alone)
   size_t dop = 1;     // worker parallelism usable for those chunks
 };
 
 /// Drains `child` (already Open()ed) into `sink`; see the file comment.
-/// Multi-chunk runs require the pipeline's source rows to be chunkable: a
-/// RelationScan source (under any chain of pass-through ρ) is split into
-/// id-span morsels read directly from storage; any other source is drained
-/// serially into buffered batches first and the batch kernels + sink work
-/// are parallelized over those.
+/// A RelationScan source (under any chain of pass-through ρ) may be split
+/// into id-span chunks read directly from storage; any other source is
+/// streamed through NextBatch as chunk 0.
 PipelineStats RunPipeline(Iterator& child, PipelineSink& sink);
 
 // ---------------------------------------------------------------- sinks
@@ -127,8 +123,7 @@ class CodecAppendSink : public PipelineSink {
   }
   void AddTarget(KeyCodec* target, const std::vector<size_t>* indices);
 
-  void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk() override;
+  std::unique_ptr<SinkChunk> MakeChunk(size_t index) override;
   void Consume(SinkChunk& chunk, const Batch& batch) override;
   void Merge(SinkChunk& chunk) override;
 
@@ -136,7 +131,6 @@ class CodecAppendSink : public PipelineSink {
   struct Chunk;
   std::vector<KeyCodec*> targets_;
   std::vector<const std::vector<size_t>*> indices_;
-  std::vector<BatchCodecAppender> serial_;
 };
 
 /// The probe-side drain of ÷ and ÷*: appends the dividend's A columns into
@@ -150,8 +144,7 @@ class ProbeAppendSink : public PipelineSink {
                   const KeyNumbering* numbering, const KeyCodec* b_codec,
                   const std::vector<size_t>* b_indices, SpilledU32Store* row_b);
 
-  void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk() override;
+  std::unique_ptr<SinkChunk> MakeChunk(size_t index) override;
   void Consume(SinkChunk& chunk, const Batch& batch) override;
   void Merge(SinkChunk& chunk) override;
 
@@ -163,9 +156,6 @@ class ProbeAppendSink : public PipelineSink {
   const KeyCodec* b_codec_;
   const std::vector<size_t>* b_indices_;
   SpilledU32Store* row_b_;
-  std::vector<uint32_t> scratch_;  // per-batch resolved ids before Append
-  BatchCodecAppender serial_append_;
-  BatchKeyProbe serial_probe_;
 };
 
 /// Hash-join build drain: key columns into `codec`, plus one materialized
@@ -176,8 +166,7 @@ class JoinBuildSink : public PipelineSink {
   JoinBuildSink(KeyCodec* codec, const std::vector<size_t>* key_indices,
                 const std::vector<size_t>* proj, std::vector<Tuple>* rows);
 
-  void ConsumeSerial(const Batch& batch) override;
-  std::unique_ptr<SinkChunk> MakeChunk() override;
+  std::unique_ptr<SinkChunk> MakeChunk(size_t index) override;
   void Consume(SinkChunk& chunk, const Batch& batch) override;
   void Merge(SinkChunk& chunk) override;
 
@@ -187,7 +176,6 @@ class JoinBuildSink : public PipelineSink {
   const std::vector<size_t>* key_indices_;
   const std::vector<size_t>* proj_;  // nullptr = materialize whole rows
   std::vector<Tuple>* rows_;
-  BatchCodecAppender serial_;
 };
 
 // -------------------------------------------- plan-level decomposition

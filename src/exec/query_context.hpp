@@ -23,7 +23,7 @@
 //                     atomic OUTSTANDING byte account (Charge/Release);
 //                     exceeding the budget trips as kResourceExhausted.
 //                     Charges are approximate (key bytes, bitmap words,
-//                     buffered batch payloads); transient state releases
+//                     materialized build rows); transient state releases
 //                     when retired (ScopedCharge), retained build state
 //                     stays charged for the statement's lifetime. The
 //                     high-water mark is reported as rows_charged_bytes.
@@ -157,7 +157,7 @@ class QueryContext {
   void Charge(size_t bytes);
 
   /// Returns `bytes` of a previous Charge, so transient per-batch state
-  /// (buffered batches, chunk-local codecs, spilled rows) stops counting
+  /// (key scratch, chunk-local codecs, spilled rows) stops counting
   /// against the budget once retired. Never throws.
   void Release(size_t bytes);
 

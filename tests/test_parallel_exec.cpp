@@ -108,10 +108,10 @@ TEST(ParallelExecProperty, GreatDivideBothAlgorithms) {
   }
 }
 
-TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
-  // A filter between scan and division makes the pipeline source
-  // non-splittable: the executor buffers the filtered batches and
-  // parallelizes the sink kernels over chunk groups of them.
+TEST(ParallelExecProperty, FilterFedPipelineStreamsAsChunkZero) {
+  // A filter between scan and division makes the dividend pipeline's source
+  // non-splittable: it streams through NextBatch into the sink's chunk 0,
+  // while the scan-fed divisor pipeline still splits into morsels.
   Catalog catalog = WorkloadCatalog();
   ExprPtr predicate = Expr::And(Expr::ColCmp("b", CmpOp::kLt, V(24)),
                                 Expr::Compare(CmpOp::kNe, Expr::Column("a"), Expr::Column("b")));
@@ -119,6 +119,29 @@ TEST(ParallelExecProperty, FilterFeedsBufferedParallelPipeline) {
       LogicalOp::Select(LogicalOp::Scan(catalog, "r1"), predicate),
       LogicalOp::Scan(catalog, "r2"));
   ExpectParallelAgreement(plan, catalog, {}, /*batch_rows=*/5);
+
+  ScopedUncappedPipelines uncapped;
+  ScopedBatchRows batches(5);
+  ScopedExecThreads threads(8);
+  const std::vector<size_t> r1_b = {1};
+  const std::vector<size_t> r2_b = {0};
+  FilterIterator filtered(std::make_unique<RelationScan>(catalog.GetShared("r1")), predicate);
+  filtered.Open();
+  KeyCodec filtered_codec(1);
+  CodecAppendSink filtered_sink(&filtered_codec, &r1_b);
+  PipelineStats filtered_stats = RunPipeline(filtered, filtered_sink);
+  EXPECT_EQ(filtered_stats.dop, 1u);
+  EXPECT_EQ(filtered_stats.chunks, 1u);
+  EXPECT_GT(filtered_stats.rows, 0u);
+  EXPECT_EQ(filtered_stats.rows, filtered.rows_produced());
+
+  RelationScan divisor(catalog.GetShared("r2"));
+  divisor.Open();
+  KeyCodec divisor_codec(1);
+  CodecAppendSink divisor_sink(&divisor_codec, &r2_b);
+  PipelineStats divisor_stats = RunPipeline(divisor, divisor_sink);
+  EXPECT_GT(divisor_stats.dop, 1u);
+  EXPECT_EQ(divisor_codec.rows(), catalog.Get("r2").size());
 }
 
 TEST(ParallelExecProperty, RenameChainStaysSplittable) {

@@ -152,6 +152,53 @@ TEST(SpillTest, ForcedSpillDivisionMatchesInMemoryResult) {
   }
 }
 
+// A pipeline whose source is not a scan (here a filter) streams into chunk 0
+// of its sink at every worker count, so it charges, spills and trips the
+// budget exactly as at one worker. The budget sits between the one-worker
+// peak (~1.16 MB for the GROUP BY, ~1.14 MB for the DIVIDE BY) and the
+// ~2.3-2.6 MB peak of an engine that buffered a filtered input whole before
+// splitting it across workers.
+TEST(SpillTest, FilterFedDrainsChargeTheSameAtEveryThreadCount) {
+  ScopedUncappedPipelines uncapped;  // any splittable source would split
+  ScopedBatchRows batches(32);
+
+  DataGen gen(7);
+  Relation divisor = gen.Divisor(48, /*domain=*/64);
+  Relation dividend =
+      gen.DividendWithHits(2000, 251, divisor, /*domain=*/64, /*density=*/0.5);
+  const char* queries[] = {
+      "SELECT a FROM r1 WHERE b <> 999999 GROUP BY a HAVING COUNT(b) > 20",
+      "SELECT a FROM (SELECT a, b FROM r1 WHERE b <> 999999) AS x DIVIDE BY "
+      "(SELECT b FROM r2 WHERE b <> 999999) AS y ON x.b = y.b",
+  };
+  SessionOptions options;
+  options.memory_budget_bytes = 1536 * 1024;
+  options.spill_watermark_bytes = 16 * 1024;
+
+  for (const char* query : queries) {
+    SCOPED_TRACE(query);
+    Relation serial_rows;
+    size_t serial_charged = 0;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ScopedExecThreads scoped_threads(threads);
+      Session session(options);
+      ASSERT_TRUE(session.CreateTable("r1", dividend).ok());
+      ASSERT_TRUE(session.CreateTable("r2", divisor).ok());
+      Result<QueryResult> result = session.Execute(query);
+      ASSERT_TRUE(result.ok()) << result.error();
+      EXPECT_EQ(result.value().profile.max_dop, 1u) << result.value().profile.explain;
+      if (threads == 1) {
+        serial_rows = result.value().rows;
+        serial_charged = result.value().profile.rows_charged_bytes;
+        continue;
+      }
+      EXPECT_EQ(result.value().rows, serial_rows);
+      EXPECT_EQ(result.value().profile.rows_charged_bytes, serial_charged);
+    }
+  }
+}
+
 TEST(SpillTest, ExplainAnalyzeReportsSpillCounters) {
   ScopedUncappedPipelines uncapped;
   Session session =
