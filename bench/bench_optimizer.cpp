@@ -1,14 +1,17 @@
 // Cost-guided rewrite search (opt/memo.hpp, docs/optimizer.md): what the
 // memoized exploration costs at compile time, and what it buys at run time.
 //
-//   Optimize/greedy vs Optimize/search  — compile-time overhead of the
-//       best-first exploration over the greedy fixpoint, on a law-rich plan
-//       (the search visits every alternative the greedy path skips).
-//   LawChoice/greedy vs LawChoice/search — execution of the plan each mode
-//       picks for a union-divisor query. Law 1 lives only in the search
-//       rule set, so greedy runs the original r1 ÷ (r2' ∪ r2'') while the
-//       search may adopt the semi-join form when the model scores it
-//       cheaper: the gap is what cost-driven choice is worth end to end.
+//   Optimize/greedy vs Optimize/search  — the greedy fixpoint alone
+//       (RewriteEngine::Default().Rewrite plus EstimateCost of its result)
+//       vs Optimizer::Optimize, which runs that fixpoint AND the best-first
+//       exploration, on a law-rich plan (the search visits every
+//       alternative the greedy path skips).
+//   LawChoice/greedy vs LawChoice/search — execution of the greedy
+//       fixpoint plan vs the plan Optimize picks for a union-divisor query.
+//       Law 1 lives only in the search rule set, so greedy runs the
+//       original r1 ÷ (r2' ∪ r2'') while the search may adopt the semi-join
+//       form when the model scores it cheaper: the gap is what cost-driven
+//       choice is worth end to end.
 
 #include "bench_common.hpp"
 #include "opt/optimizer.hpp"
@@ -32,26 +35,30 @@ void BM_Optimize(benchmark::State& state, bool search) {
   Catalog catalog;
   catalog.Put("r1", workload.dividend);
   catalog.Put("r2", workload.divisor);
-  OptimizerOptions options;
-  options.search = search;
   // One long-lived stats cache, like a snapshot's: harvests are warm, the
   // loop measures pure exploration + costing.
   StatsCache stats;
-  Optimizer optimizer(catalog, options, &stats);
+  Optimizer optimizer(catalog, {}, &stats);
+  RewriteEngine greedy = RewriteEngine::Default();
+  RewriteContext context{&catalog, /*allow_runtime_checks=*/false};
   PlanPtr plan = LawRichPlan(catalog);
   (void)optimizer.Optimize(plan);  // warm the stats harvests
   size_t candidates = 0;
   for (auto _ : state) {
-    OptimizationReport report = optimizer.Optimize(plan);
-    candidates = report.search_candidates;
-    benchmark::DoNotOptimize(report.chosen_cost);
+    if (search) {
+      OptimizationReport report = optimizer.Optimize(plan);
+      candidates = report.search_candidates;
+      benchmark::DoNotOptimize(report.chosen_cost);
+    } else {
+      benchmark::DoNotOptimize(EstimateCost(greedy.Rewrite(plan, context), catalog, stats));
+    }
   }
   state.counters["candidates"] = static_cast<double>(candidates);
 }
 
 void BM_LawChoice(benchmark::State& state, bool search) {
-  // Union divisor: only the search rule set carries Law 1, so the two
-  // modes can genuinely pick different plans for the same query. The shape
+  // Union divisor: only the search rule set carries Law 1, so greedy and
+  // search can genuinely pick different plans for the same query. The shape
   // is tuned so Law 1 wins the cost race: many near-singleton groups make
   // the divide's per-group bitmap work dominate the scans, and the thin
   // first divisor slice prunes nearly every candidate before the wide
@@ -71,20 +78,26 @@ void BM_LawChoice(benchmark::State& state, bool search) {
   catalog.Put("r2a", Relation(full_divisor.schema(), std::move(first)));
   catalog.Put("r2b", Relation(full_divisor.schema(), std::move(second)));
 
-  OptimizerOptions options;
-  options.search = search;
   StatsCache stats;
-  Optimizer optimizer(catalog, options, &stats);
   PlanPtr plan = LogicalOp::Divide(
       LogicalOp::Scan(catalog, "r1"),
       LogicalOp::Union(LogicalOp::Scan(catalog, "r2a"), LogicalOp::Scan(catalog, "r2b")));
-  OptimizationReport report = optimizer.Optimize(plan);
+  PlanPtr chosen;
+  std::vector<RewriteStep> steps;
+  if (search) {
+    OptimizationReport report = Optimizer(catalog, {}, &stats).Optimize(plan);
+    chosen = report.chosen;
+    steps = std::move(report.steps);
+  } else {
+    RewriteContext context{&catalog, /*allow_runtime_checks=*/false};
+    chosen = RewriteEngine::Default().Rewrite(plan, context, &steps);
+  }
   for (auto _ : state) {
-    Relation q = ExecutePlan(report.chosen, catalog, {}, nullptr, nullptr, &stats);
+    Relation q = ExecutePlan(chosen, catalog, {}, nullptr, nullptr, &stats);
     benchmark::DoNotOptimize(q);
   }
-  state.counters["chosen_cost"] = report.chosen_cost;
-  state.counters["rewrites"] = static_cast<double>(report.steps.size());
+  state.counters["chosen_cost"] = EstimateCost(chosen, catalog, stats);
+  state.counters["rewrites"] = static_cast<double>(steps.size());
 }
 
 }  // namespace

@@ -118,9 +118,10 @@ run_bench_threads bench_recycler "${par_threads}" "${out_dir}/.recycler_raw.json
 # dirty-overlay reads against the cached snapshot-read baseline.
 run_bench_threads bench_txn "${par_threads}" "${out_dir}/BENCH_txn.json"
 
-# Cost-guided rewrite search: Optimize() greedy vs search on a law-rich
-# plan (compile-time overhead), and execution of each mode's chosen plan on
-# a union-divisor workload only the search rule set can rewrite (Law 1).
+# Cost-guided rewrite search: the greedy fixpoint alone vs Optimize() (greedy
+# fixpoint + memoized search) on a law-rich plan (compile-time overhead), and
+# execution of the greedy fixpoint plan vs Optimize()'s chosen plan on a
+# union-divisor workload only the search rule set can rewrite (Law 1).
 run_bench bench_optimizer "${out_dir}/BENCH_optimizer.json"
 
 run_bench_threads bench_division_algorithms 1 "${out_dir}/.div_par1.json"

@@ -157,7 +157,7 @@ void Database::NoteCompile(const CompileInfo& info) {
     if (!step.rule.empty() && step.rule.front() == '(') continue;
     ++optimizer_stats_.law_fires[step.rule];
   }
-  if (info.search_candidates > 0) ++optimizer_stats_.searched_compiles;
+  ++optimizer_stats_.searched_compiles;
   if (info.rewrite_budget_exhausted) ++optimizer_stats_.budget_exhausted;
 }
 

@@ -113,10 +113,10 @@ struct CompileInfo {
   std::vector<RewriteStep> rewrites;  // applied laws, in order
   double lowered_cost = 0;
   double optimized_cost = 0;
-  /// Cost of the greedy fixpoint plan, the search's A/B reference
-  /// (== lowered_cost when no rule fired).
+  /// Cost of the greedy fixpoint plan, the reference the search must not
+  /// lose to (== lowered_cost when no rule fired).
   double greedy_cost = 0;
-  /// Cost-guided search accounting (opt/memo.hpp); zero when search is off.
+  /// Cost-guided search accounting (opt/memo.hpp); zero on the oracle path.
   size_t search_candidates = 0;
   size_t memo_hits = 0;
   /// A rewrite or candidate budget truncated exploration.
@@ -174,7 +174,7 @@ struct OptimizerStats {
   std::map<std::string, uint64_t> law_fires;
   /// Oracle-interpreter executions per lowering refusal reason.
   std::map<std::string, uint64_t> fallback_reasons;
-  uint64_t searched_compiles = 0;  // compiles that ran the memo search
+  uint64_t searched_compiles = 0;  // compiles (each runs the memo search)
   uint64_t budget_exhausted = 0;   // compiles a budget truncated
 };
 

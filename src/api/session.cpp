@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string_view>
@@ -57,13 +56,12 @@ std::string NormalizeSql(const std::vector<sql::Token>& tokens) {
 
 /// The shared plan cache is keyed on (options fingerprint, normalized SQL):
 /// sessions configured identically reuse each other's plans, sessions with
-/// different rule sets / planner algorithms / fallback policy never collide.
-/// The '\n' separator cannot occur in normalized SQL (tokens are joined
-/// with single spaces).
+/// different rewrite budgets / planner algorithms / fallback policy never
+/// collide. The '\n' separator cannot occur in normalized SQL (tokens are
+/// joined with single spaces).
 std::string OptionsFingerprint(const SessionOptions& options) {
   const OptimizerOptions& opt = options.optimizer;
   std::string fp;
-  fp += opt.use_rules ? 'R' : 'r';
   fp += opt.allow_runtime_checks ? 'C' : 'c';
   fp += options.allow_oracle_fallback ? 'F' : 'f';
   fp += opt.planner.expand_divide ? 'X' : 'x';
@@ -72,7 +70,6 @@ std::string OptionsFingerprint(const SessionOptions& options) {
   fp += std::to_string(static_cast<int>(opt.planner.great_divide));
   fp += ':';
   fp += std::to_string(opt.max_rewrite_steps);
-  fp += opt.search ? 'S' : 's';
   fp += ':';
   fp += std::to_string(opt.max_search_candidates);
   fp += '\n';
@@ -704,21 +701,13 @@ Relation Session::RenderExplain(const CompileInfo& info, bool analyze,
     lines.push_back("path: compiled (lower -> rewrite laws -> parallel pipeline executor)");
     lines.push_back("rewrites applied: " + std::to_string(info.rewrites.size()));
     AppendBlock(SummarizeRewrites(info.rewrites), "", &lines);
-    char cost[160];
-    std::snprintf(cost, sizeof(cost),
-                  "estimated cost: %.1f -> %.1f (greedy fixpoint: %.1f)", info.lowered_cost,
-                  info.optimized_cost, info.greedy_cost);
-    lines.push_back(cost);
-    if (info.search_candidates > 0) {
-      std::string search = "search: " + std::to_string(info.search_candidates) +
-                           " candidates, " + std::to_string(info.memo_hits) + " memo hits";
-      if (info.rewrite_budget_exhausted) search += " (budget exhausted)";
-      lines.push_back(std::move(search));
-    } else {
-      std::string search = "search: off (greedy fixpoint)";
-      if (info.rewrite_budget_exhausted) search += " (budget exhausted)";
-      lines.push_back(std::move(search));
-    }
+    lines.push_back("estimated cost: " + FormatCost(info.lowered_cost) + " -> " +
+                    FormatCost(info.optimized_cost) +
+                    " (greedy fixpoint: " + FormatCost(info.greedy_cost) + ")");
+    std::string search = "search: " + std::to_string(info.search_candidates) +
+                         " candidates, " + std::to_string(info.memo_hits) + " memo hits";
+    if (info.rewrite_budget_exhausted) search += " (budget exhausted)";
+    lines.push_back(std::move(search));
     lines.push_back("logical plan (lowered):");
     AppendBlock(info.lowered->ToString(), "  ", &lines);
     if (!info.rewrites.empty()) {

@@ -7,10 +7,6 @@
 
 namespace quotient {
 
-namespace {
-
-/// "%.1f" of a double into a std::string, sized exactly — no fixed buffer
-/// to overflow (large estimates print all their digits).
 std::string FormatCost(double cost) {
   int needed = std::snprintf(nullptr, 0, "%.1f", cost);
   if (needed < 0) return "?";
@@ -20,23 +16,15 @@ std::string FormatCost(double cost) {
   return out;
 }
 
-}  // namespace
-
 std::string OptimizationReport::Explain() const {
   std::string out;
   out += "original cost: " + FormatCost(original_cost) +
          ", greedy cost: " + FormatCost(greedy_cost) +
          ", chosen cost: " + FormatCost(chosen_cost) + "\n";
-  if (search_candidates > 0) {
-    out += "search: " + std::to_string(search_candidates) + " candidates, " +
-           std::to_string(memo_hits) + " memo hits";
-    if (budget_exhausted) out += " (budget exhausted)";
-    out += "\n";
-  } else {
-    out += "search: off (greedy fixpoint)";
-    if (budget_exhausted) out += " (budget exhausted)";
-    out += "\n";
-  }
+  out += "search: " + std::to_string(search_candidates) + " candidates, " +
+         std::to_string(memo_hits) + " memo hits";
+  if (budget_exhausted) out += " (budget exhausted)";
+  out += "\n";
   if (steps.empty()) {
     out += "no rewrites applied\n";
   } else {
@@ -66,16 +54,11 @@ OptimizationReport Optimizer::Optimize(const PlanPtr& plan) const {
   OptimizationReport report;
   report.original = plan;
   report.original_cost = EstimateCost(plan, catalog_, stats());
-  report.chosen = plan;
-  report.chosen_cost = report.original_cost;
-  report.greedy_cost = report.original_cost;
-  if (!options_.use_rules) return report;
-
   RewriteContext context{&catalog_, options_.allow_runtime_checks};
 
-  // The greedy fixpoint: the pre-search behavior and the search's A/B
-  // reference. Driven step-by-step here (instead of engine_.Rewrite) so
-  // every step records the whole-plan cost after it applied.
+  // The greedy fixpoint: a candidate the search must not lose to. Driven
+  // step-by-step here (instead of engine_.Rewrite) so every step records
+  // the whole-plan cost after it applied.
   std::vector<RewriteStep> greedy_steps;
   bool greedy_budget_exhausted = false;
   PlanPtr greedy = plan;
@@ -95,19 +78,6 @@ OptimizationReport Optimizer::Optimize(const PlanPtr& plan) const {
   double greedy_cost = greedy_steps.empty() ? report.original_cost
                                             : EstimateCost(greedy, catalog_, stats());
   report.greedy_cost = greedy_cost;
-
-  if (!options_.search) {
-    // A/B mode — the historical all-or-nothing gate: keep the entire
-    // greedy trace only if the model does not consider it a regression
-    // (the rule set is curated, so ties go to the rewritten plan).
-    report.budget_exhausted = greedy_budget_exhausted;
-    if (!greedy_steps.empty() && greedy_cost <= report.original_cost * 1.05) {
-      report.chosen = greedy;
-      report.chosen_cost = greedy_cost;
-      report.steps = std::move(greedy_steps);
-    }
-    return report;
-  }
 
   MemoSearchOptions memo_options;
   memo_options.max_steps = options_.max_rewrite_steps;

@@ -7,22 +7,23 @@
 
 namespace quotient {
 
-/// End-to-end optimizer configuration.
+/// End-to-end optimizer configuration. The law-based rewrites always run;
+/// these bound how far.
 struct OptimizerOptions {
   PlannerOptions planner;
-  /// Apply the law-based rule set before lowering.
-  bool use_rules = true;
   /// Permit rules to evaluate subplans for data-dependent preconditions
   /// (the expensive-c1 trade-off of §5.1.1).
   bool allow_runtime_checks = false;
+  /// Rewrite-step budget, for the greedy fixpoint and for each search path.
   size_t max_rewrite_steps = 64;
-  /// Explore alternative law applications best-first under the cost model
-  /// (opt/memo.hpp) instead of committing to the greedy fixpoint. Off
-  /// restores the pre-search greedy behavior, kept for A/B comparison.
-  bool search = true;
   /// Candidate-plan budget for the search (plans costed; memo hits free).
   size_t max_search_candidates = 256;
 };
+
+/// "%.1f" of a cost into a std::string, sized exactly — no fixed buffer to
+/// overflow (large estimates print all their digits). Shared by every
+/// EXPLAIN rendering of costs.
+std::string FormatCost(double cost);
 
 /// What the optimizer did to a query, for EXPLAIN output.
 struct OptimizationReport {
@@ -30,11 +31,11 @@ struct OptimizationReport {
   PlanPtr chosen;
   double original_cost = 0;
   double chosen_cost = 0;
-  /// Cost of the greedy fixpoint plan — the search's A/B reference. Equals
-  /// original_cost when no rule fired (or rules are off).
+  /// Cost of the greedy fixpoint plan — the reference the search must not
+  /// lose to. Equals original_cost when no rule fired.
   double greedy_cost = 0;
   std::vector<RewriteStep> steps;  // applied law rewrites, in order
-  /// Candidate plans costed by the search (0 when search is off).
+  /// Candidate plans costed by the search (the original counts as one).
   size_t search_candidates = 0;
   /// Duplicate states the memo pruned by fingerprint.
   size_t memo_hits = 0;
@@ -47,12 +48,11 @@ struct OptimizationReport {
 };
 
 /// The optimizer: law-based rewriting (src/core) driven by the cost model,
-/// then lowering to the execution engine. With search on (the default) the
-/// memoized best-first search picks the cheapest of every explored
-/// alternative — never worse than the original OR the greedy fixpoint.
-/// With search off, the greedy fixpoint's trace is kept only when the
-/// model does not consider it a regression — rewrites are never blindly
-/// trusted.
+/// then lowering to the execution engine. Optimize has one path: the greedy
+/// fixpoint of the default rule set, then the memoized best-first search
+/// (opt/memo.hpp), then the cheapest of {original, greedy, searched} — never
+/// worse than the original or the greedy fixpoint, even when a budget cut
+/// the search short. Rewrites are never blindly trusted.
 class Optimizer {
  public:
   /// `stats` feeds the cost model; pass the snapshot's cache

@@ -10,11 +10,9 @@ namespace sql {
 /// Compiles a parsed query into a logical plan whose execution through the
 /// rewrite engine + physical planner reproduces the oracle interpreter
 /// (sql::ExecuteQueryOracle) bit for bit — schemas, output names, and set
-/// semantics included. This is the Session front door's compiler; the older
-/// BindQuery (sql/binder.hpp) is its conservative ancestor and is kept for
-/// the plannable-§4-subset tests.
-///
-/// Coverage beyond the binder:
+/// semantics included. This is the one SQL compiler (the Session's front
+/// door). Besides FROM with base tables, derived tables and DIVIDE BY ... ON,
+/// WHERE conditions, and GROUP BY / HAVING aggregates, it covers:
 ///   * SELECT * (qualifiers stripped exactly like the interpreter),
 ///   * uncorrelated IN / NOT IN subqueries as semi-/anti-joins,
 ///   * equality-correlated EXISTS / NOT EXISTS as semi-/anti-joins,

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
+
 #include "api/session.hpp"
 #include "exec/pipeline.hpp"
 #include "exec/scheduler.hpp"
@@ -407,6 +410,31 @@ TEST_F(SessionTest, ExplainAnalyzeShowsTheFullCompileAndRunStory) {
   EXPECT_NE(text.find("pipelines:"), std::string::npos) << text;
   EXPECT_GT(result.value().profile.rewrite_steps, 0u);
   EXPECT_TRUE(result.value().profile.plan_cache_hit);
+}
+
+TEST_F(SessionTest, ExplainCostLineIsNeverTruncated) {
+  // A 14-way self product of a 1000-row table: estimates around 1e42 print
+  // 40+ digits each, so the cost line is far longer than any fixed buffer.
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 1000; ++i) rows.push_back({V(i)});
+  ASSERT_TRUE(session_.CreateTable("t", Relation(Schema::Parse("x:int"), rows)).ok());
+  std::string query = "EXPLAIN SELECT a0.x FROM t AS a0";
+  for (int i = 1; i < 14; ++i) query += ", t AS a" + std::to_string(i);
+  Result<QueryResult> result = session_.Execute(query);
+  ASSERT_TRUE(result.ok()) << result.error();
+  const CompileInfo& info = result.value().compile;
+  ASSERT_TRUE(info.compiled);
+  std::string line;
+  for (const Tuple& t : result.value().rows.tuples()) {
+    if (t[1].ToString().rfind("estimated cost: ", 0) == 0) line = t[1].ToString();
+  }
+  ASSERT_FALSE(line.empty()) << ExplainText(result.value().rows);
+  EXPECT_EQ(line.back(), ')') << line;
+  std::ostringstream expected;
+  expected << std::fixed << std::setprecision(1) << "estimated cost: " << info.lowered_cost
+           << " -> " << info.optimized_cost << " (greedy fixpoint: " << info.greedy_cost
+           << ")";
+  EXPECT_EQ(line, expected.str());
 }
 
 TEST_F(SessionTest, ExplainAnalyzeOnFallbackNamesTheOracle) {

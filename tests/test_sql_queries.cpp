@@ -1,6 +1,6 @@
 // Section 4 end to end: the DIVIDE BY syntax (Q1, Q2), its equivalence with
-// the double-NOT-EXISTS formulation (Q3), and the plannable path through the
-// binder + rewrite engine + physical planner.
+// the double-NOT-EXISTS formulation (Q3), and the compiled path through the
+// lowering compiler + rewrite engine + physical planner.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,8 @@
 #include "opt/planner.hpp"
 #include "paper_fixtures.hpp"
 #include "plan/evaluate.hpp"
-#include "sql/binder.hpp"
 #include "sql/interp.hpp"
+#include "sql/lower.hpp"
 
 namespace quotient {
 namespace {
@@ -85,7 +85,7 @@ TEST_F(SqlQueriesTest, Q1AndQ3AgreeOnRandomDatabases) {
 }
 
 TEST_F(SqlQueriesTest, Q1PlansToGreatDivideNode) {
-  Result<PlanPtr> plan = sql::PlanSql(kQ1, catalog_);
+  Result<PlanPtr> plan = sql::LowerSql(kQ1, catalog_);
   ASSERT_TRUE(plan.ok()) << plan.error();
   // The plan must contain a first-class GreatDivide operator.
   std::string rendered = plan.value()->ToString();
@@ -96,7 +96,7 @@ TEST_F(SqlQueriesTest, Q1PlansToGreatDivideNode) {
 }
 
 TEST_F(SqlQueriesTest, Q2PlansToSmallDivideNode) {
-  Result<PlanPtr> plan = sql::PlanSql(kQ2, catalog_);
+  Result<PlanPtr> plan = sql::LowerSql(kQ2, catalog_);
   ASSERT_TRUE(plan.ok()) << plan.error();
   std::string rendered = plan.value()->ToString();
   EXPECT_NE(rendered.find("Divide"), std::string::npos) << rendered;
@@ -106,16 +106,19 @@ TEST_F(SqlQueriesTest, Q2PlansToSmallDivideNode) {
   EXPECT_EQ(ExecutePlan(plan.value(), catalog_), paper::Q2Answer());
 }
 
-TEST_F(SqlQueriesTest, Q3IsNotPlannable) {
-  // The binder refuses correlated EXISTS — the paper's observation that
-  // detecting division inside NOT EXISTS is hard for an optimizer.
-  Result<PlanPtr> plan = sql::PlanSql(kQ3, catalog_);
-  EXPECT_FALSE(plan.ok());
+TEST_F(SqlQueriesTest, Q3FallsBackToTheOracle) {
+  // The compiler refuses Q3's doubly nested correlated EXISTS — the paper's
+  // observation that detecting division inside NOT EXISTS is hard for an
+  // optimizer. The message is what the Session records as fallback_reason.
+  Result<PlanPtr> plan = sql::LowerSql(kQ3, catalog_);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_NE(plan.error().find("nested subquery inside EXISTS"), std::string::npos)
+      << plan.error();
 }
 
 TEST_F(SqlQueriesTest, RewriteEngineOnPlannedQuery) {
   // σcolor='red'(Q1) — Law 15 pushes the C-selection into the divisor.
-  Result<PlanPtr> plan = sql::PlanSql(kQ1, catalog_);
+  Result<PlanPtr> plan = sql::LowerSql(kQ1, catalog_);
   ASSERT_TRUE(plan.ok());
   PlanPtr filtered = LogicalOp::Select(
       plan.value(), Expr::ColCmp("color", CmpOp::kEq, Value::Str("red")));
